@@ -2,6 +2,9 @@
 # One-command pre-merge gate: everything CI runs, in the order a failure
 # is cheapest to see.
 #
+#   0. orphan modules: every header under src/ must have an includer
+#      outside its own .cpp in src/, bench/, examples/ or perfbench/
+#      (tests do not count as callers);
 #   1. tier-1: configure + build + full ctest of the default tree;
 #   2. recovery: the self-healing label on the same tree (fast re-run,
 #      isolates a recovery regression from an unrelated tier-1 one);
@@ -18,7 +21,7 @@
 #      a real socket (strict JSON validation), then an external curl
 #      scrapes /metrics and /healthz from outside the process — any
 #      non-200 or invalid body fails the gate;
-#   5. asan_check: fault + obs + recovery labels under ASan/UBSan;
+#   5. asan_check: the full ctest suite under ASan/UBSan;
 #   6. tsan_check: the concurrency label under TSan;
 #   7. obs_off_check: configure+build+test a DWATCH_OBS=OFF tree;
 #   8. simd_off_check: configure+build+test a DWATCH_SIMD=OFF tree.
@@ -34,6 +37,27 @@ run() {
   echo "==> $*"
   "$@"
 }
+
+# --- 0. orphan modules ---------------------------------------------------
+# A module that only its own tests include is code nothing calls: delete
+# it instead of maintaining it. Headers are included as "dir/name.hpp".
+echo
+echo "==> orphan module check"
+ORPHANS=""
+while IFS= read -r header; do
+  rel="${header#src/}"
+  own="${header%.hpp}.cpp"
+  callers="$(grep -rlF --include='*.cpp' --include='*.hpp' \
+    "#include \"${rel}\"" src bench examples perfbench \
+    | grep -vxF "${own}" || true)"
+  if [ -z "${callers}" ]; then
+    ORPHANS="${ORPHANS} ${rel}"
+  fi
+done < <(find src -name '*.hpp' | sort)
+if [ -n "${ORPHANS}" ]; then
+  echo "check.sh: headers with no caller outside their own .cpp and tests:${ORPHANS}" >&2
+  exit 1
+fi
 
 # --- 1. tier-1: default tree, full suite --------------------------------
 run cmake -S . -B build
@@ -151,7 +175,7 @@ esac
 wait "${TELEMETRY_PID}"
 rm -f "${PORT_FILE}"
 
-# --- 5. AddressSanitizer tree: stress|obs|recovery ----------------------
+# --- 5. AddressSanitizer tree: the full suite ---------------------------
 run cmake -S . -B build-asan -DDWATCH_SANITIZE=address \
   -DDWATCH_BUILD_BENCH=OFF -DDWATCH_BUILD_EXAMPLES=OFF
 run cmake --build build-asan --parallel "$JOBS"

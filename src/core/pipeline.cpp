@@ -18,38 +18,40 @@ namespace dwatch::core {
 
 namespace {
 
-/// Process-wide mirrors of the pipeline lifetime counters, registered
-/// once and cached as references (registry metrics never move). Only
-/// touched inside `if (obs::enabled())` blocks, so a disabled build
-/// never even registers them.
-struct PipelineCounters {
-  obs::Counter& epochs;
-  obs::Counter& observations;
-  obs::Counter& observations_skipped;
-  obs::Counter& drops_detected;
-  obs::Counter& stale_observations;
-  obs::Counter& low_snapshot_observations;
-  obs::Counter& malformed_observations;
-  obs::Counter& reports_dropped;
-  obs::Counter& transport_retries;
-  obs::Counter& transport_timeouts;
-
-  static PipelineCounters& get() {
-    auto& reg = obs::MetricsRegistry::global();
-    static PipelineCounters counters{
-        reg.counter("dwatch_pipeline_epochs_total"),
-        reg.counter("dwatch_pipeline_observations_total"),
-        reg.counter("dwatch_pipeline_observations_skipped_total"),
-        reg.counter("dwatch_pipeline_drops_detected_total"),
-        reg.counter("dwatch_pipeline_stale_observations_total"),
-        reg.counter("dwatch_pipeline_low_snapshot_observations_total"),
-        reg.counter("dwatch_pipeline_malformed_observations_total"),
-        reg.counter("dwatch_pipeline_reports_dropped_total"),
-        reg.counter("dwatch_pipeline_transport_retries_total"),
-        reg.counter("dwatch_pipeline_transport_timeouts_total")};
-    return counters;
+/// Process-wide registry mirror of one ObservationCounts field. All
+/// nine are registered on first use and cached as references (registry
+/// metrics never move). Only called inside `if (obs::enabled())` blocks,
+/// so a disabled build never even registers them.
+obs::Counter& registry_mirror(std::size_t ObservationCounts::*counter) {
+  struct Mirror {
+    std::size_t ObservationCounts::*counter;
+    obs::Counter& metric;
+  };
+  auto& reg = obs::MetricsRegistry::global();
+  static const Mirror mirrors[] = {
+      {&ObservationCounts::observations,
+       reg.counter("dwatch_pipeline_observations_total")},
+      {&ObservationCounts::observations_skipped,
+       reg.counter("dwatch_pipeline_observations_skipped_total")},
+      {&ObservationCounts::drops_detected,
+       reg.counter("dwatch_pipeline_drops_detected_total")},
+      {&ObservationCounts::stale_observations,
+       reg.counter("dwatch_pipeline_stale_observations_total")},
+      {&ObservationCounts::low_snapshot_observations,
+       reg.counter("dwatch_pipeline_low_snapshot_observations_total")},
+      {&ObservationCounts::malformed_observations,
+       reg.counter("dwatch_pipeline_malformed_observations_total")},
+      {&ObservationCounts::reports_dropped,
+       reg.counter("dwatch_pipeline_reports_dropped_total")},
+      {&ObservationCounts::transport_retries,
+       reg.counter("dwatch_pipeline_transport_retries_total")},
+      {&ObservationCounts::transport_timeouts,
+       reg.counter("dwatch_pipeline_transport_timeouts_total")}};
+  for (const Mirror& m : mirrors) {
+    if (m.counter == counter) return m.metric;
   }
-};
+  throw std::logic_error("registry_mirror: counter has no mirror");
+}
 
 /// Plan-view array centers for the RSS localizer.
 std::vector<rf::Vec2> array_centers_xy(
@@ -368,7 +370,11 @@ void DWatchPipeline::begin_epoch(std::uint64_t watermark_us) {
   stable_checks_ = 0;
   converged_ = false;
   ++stats_.epochs;
-  if (obs::enabled()) PipelineCounters::get().epochs.inc();
+  if (obs::enabled()) {
+    static obs::Counter& epochs_total =
+        obs::MetricsRegistry::global().counter("dwatch_pipeline_epochs_total");
+    epochs_total.inc();
+  }
 }
 
 void DWatchPipeline::set_array_health(std::size_t array_idx, bool healthy) {
@@ -391,27 +397,28 @@ bool DWatchPipeline::array_healthy(std::size_t array_idx) const {
   return !evidence_[array_idx].excluded;
 }
 
+void DWatchPipeline::tally(std::size_t ObservationCounts::*counter,
+                           std::size_t n) {
+  epoch_.counts.*counter += n;
+  stats_.*counter += n;
+  if (obs::enabled()) registry_mirror(counter).inc(n);
+}
+
 void DWatchPipeline::note_transport(std::size_t retries,
                                     std::size_t timeouts) {
-  epoch_.transport_retries += retries;
-  epoch_.transport_timeouts += timeouts;
-  stats_.transport_retries += retries;
-  stats_.transport_timeouts += timeouts;
-  if (obs::enabled()) {
-    PipelineCounters::get().transport_retries.inc(retries);
-    PipelineCounters::get().transport_timeouts.inc(timeouts);
-  }
+  tally(&ObservationCounts::transport_retries, retries);
+  tally(&ObservationCounts::transport_timeouts, timeouts);
 }
 
 void DWatchPipeline::note_reports_dropped(std::size_t count) {
-  epoch_.reports_dropped += count;
-  stats_.reports_dropped += count;
-  if (obs::enabled()) PipelineCounters::get().reports_dropped.inc(count);
+  tally(&ObservationCounts::reports_dropped, count);
 }
 
-std::vector<PathDrop> DWatchPipeline::detect_drops(
+DWatchPipeline::Detection DWatchPipeline::detect(
     std::size_t array_idx, const rfid::Epc96& epc,
-    const AngularSpectrum& baseline, const linalg::CMatrix& snapshots) const {
+    const linalg::CMatrix& snapshots) const {
+  const auto it = baselines_[array_idx].find(epc);
+  if (it == baselines_[array_idx].end()) return {};
   // Baseline peak positions come from the P-MUSIC spectrum; the ONLINE
   // power at those positions is read from the beamforming power spectrum
   // PB, which is free of MUSIC's model-order jitter (a vanished weak
@@ -420,7 +427,7 @@ std::vector<PathDrop> DWatchPipeline::detect_drops(
   // Nor(B) == 1 there.
   const AngularSpectrum online_power =
       compute_online_power(array_idx, snapshots);
-  std::vector<PathDrop> drops = detector_.detect(baseline, online_power);
+  std::vector<PathDrop> drops = detector_.detect(it->second, online_power);
   // Degraded mode: a spectrum computed from too few snapshots carries a
   // less trustworthy peak angle — widen its localization kernel.
   const bool low_snapshots =
@@ -429,7 +436,11 @@ std::vector<PathDrop> DWatchPipeline::detect_drops(
     d.source_id = epc.serial();
     if (low_snapshots) d.sigma_scale = options_.degraded.sigma_widen;
   }
-  return drops;
+  return {.has_baseline = true,
+          .snapshot_cols = snapshots.cols(),
+          .coherence = phase_coherence(snapshots),
+          .online_power = mean_power(snapshots),
+          .drops = std::move(drops)};
 }
 
 std::vector<PathDrop> DWatchPipeline::detect_drops_streaming(
@@ -541,7 +552,7 @@ void DWatchPipeline::check_convergence() {
     if (obs::enabled()) {
       obs::EventLog::global().emit(
           obs::Event("pipeline.early_seal")
-              .field("observations", epoch_.observations)
+              .field("observations", epoch_.counts.observations)
               .field("x", est.position.x)
               .field("y", est.position.y)
               .field("likelihood", est.likelihood));
@@ -549,53 +560,49 @@ void DWatchPipeline::check_convergence() {
   }
 }
 
+std::size_t DWatchPipeline::absorb(std::size_t array_idx,
+                                   const rfid::Epc96& epc,
+                                   const Detection& d) {
+  if (!d.has_baseline) {
+    tally(&ObservationCounts::observations_skipped);
+    return 0;
+  }
+  tally(&ObservationCounts::observations);
+  if (d.snapshot_cols < options_.degraded.min_snapshots) {
+    tally(&ObservationCounts::low_snapshot_observations);
+  }
+  accumulate_rss(array_idx, epc, d.coherence, d.online_power);
+  tally(&ObservationCounts::drops_detected, d.drops.size());
+  auto& sink = evidence_[array_idx].drops;
+  sink.insert(sink.end(), d.drops.begin(), d.drops.end());
+  return d.drops.size();
+}
+
 std::size_t DWatchPipeline::observe(std::size_t array_idx,
                                     const rfid::Epc96& epc,
                                     const linalg::CMatrix& snapshots) {
   DWATCH_SPAN("pipeline.observe");
   check_array(array_idx);
+  if (!options_.streaming.enabled) {
+    return absorb(array_idx, epc, detect(array_idx, epc, snapshots));
+  }
   const auto it = baselines_[array_idx].find(epc);
-  if (it == baselines_[array_idx].end()) {
-    ++stats_.observations_skipped;
-    ++epoch_.observations_skipped;
-    if (obs::enabled()) PipelineCounters::get().observations_skipped.inc();
-    return 0;
-  }
-  ++stats_.observations;
-  ++epoch_.observations;
-  if (obs::enabled()) PipelineCounters::get().observations.inc();
-  if (snapshots.cols() < options_.degraded.min_snapshots) {
-    ++stats_.low_snapshot_observations;
-    ++epoch_.low_snapshot_observations;
-    if (obs::enabled()) {
-      PipelineCounters::get().low_snapshot_observations.inc();
-    }
-  }
-  accumulate_rss(array_idx, epc, phase_coherence(snapshots),
-                 mean_power(snapshots));
-  const bool streaming = options_.streaming.enabled;
-  if (streaming && converged_) {
-    ++streaming_stats_.post_convergence_observations;
-  }
-  std::vector<PathDrop> drops =
-      streaming ? detect_drops_streaming(array_idx, epc, it->second, snapshots)
-                : detect_drops(array_idx, epc, it->second, snapshots);
-  stats_.drops_detected += drops.size();
-  epoch_.drops_detected += drops.size();
-  if (obs::enabled()) {
-    PipelineCounters::get().drops_detected.inc(drops.size());
-  }
-  auto& sink = evidence_[array_idx].drops;
-  if (streaming) {
-    // The streamed spectrum covers ALL of this tag's snapshots so far,
-    // so its drops supersede — not add to — the tag's earlier evidence.
-    std::erase_if(sink, [&](const PathDrop& d) {
-      return d.source_id == epc.serial();
-    });
-  }
-  sink.insert(sink.end(), drops.begin(), drops.end());
-  if (streaming) check_convergence();
-  return drops.size();
+  if (it == baselines_[array_idx].end()) return absorb(array_idx, epc, {});
+  if (converged_) ++streaming_stats_.post_convergence_observations;
+  const Detection d{
+      .has_baseline = true,
+      .snapshot_cols = snapshots.cols(),
+      .coherence = phase_coherence(snapshots),
+      .online_power = mean_power(snapshots),
+      .drops = detect_drops_streaming(array_idx, epc, it->second, snapshots)};
+  // The streamed spectrum covers ALL of this tag's snapshots so far, so
+  // its drops supersede — not add to — the tag's earlier evidence.
+  std::erase_if(evidence_[array_idx].drops, [&](const PathDrop& p) {
+    return p.source_id == epc.serial();
+  });
+  const std::size_t found = absorb(array_idx, epc, d);
+  check_convergence();
+  return found;
 }
 
 std::size_t DWatchPipeline::observe_batch(
@@ -629,22 +636,10 @@ std::size_t DWatchPipeline::observe_batch(
   // Fan the spectra out: every slot is written by exactly one task, all
   // shared pipeline state (arrays, calibration, baselines, estimators)
   // is read-only during the scan.
-  struct ItemResult {
-    bool has_baseline = false;
-    std::vector<PathDrop> drops;
-    double coherence = 0.0;
-    double online_power = 0.0;
-  };
-  std::vector<ItemResult> results(batch.size());
+  std::vector<Detection> results(batch.size());
   const auto process = [&](std::size_t slot) {
     const BatchObservation& item = batch[order[slot]];
-    const auto it = baselines_[item.array_idx].find(item.epc);
-    if (it == baselines_[item.array_idx].end()) return;
-    results[slot].has_baseline = true;
-    results[slot].coherence = phase_coherence(item.snapshots);
-    results[slot].online_power = mean_power(item.snapshots);
-    results[slot].drops =
-        detect_drops(item.array_idx, item.epc, it->second, item.snapshots);
+    results[slot] = detect(item.array_idx, item.epc, item.snapshots);
   };
   if (pool_ && pool_->num_workers() > 1) {
     pool_->parallel_for(batch.size(), process);
@@ -652,38 +647,13 @@ std::size_t DWatchPipeline::observe_batch(
     for (std::size_t slot = 0; slot < batch.size(); ++slot) process(slot);
   }
 
-  // Serial merge in the sorted order.
+  // Serial merge in the sorted order, through the same absorb() the
+  // observe() loop hits, so evidence, RSS links and phase health are
+  // bit-identical too.
   std::size_t total = 0;
   for (std::size_t slot = 0; slot < batch.size(); ++slot) {
-    const ItemResult& r = results[slot];
     const BatchObservation& item = batch[order[slot]];
-    if (!r.has_baseline) {
-      ++stats_.observations_skipped;
-      ++epoch_.observations_skipped;
-      if (obs::enabled()) PipelineCounters::get().observations_skipped.inc();
-      continue;
-    }
-    ++stats_.observations;
-    ++epoch_.observations;
-    if (obs::enabled()) PipelineCounters::get().observations.inc();
-    if (item.snapshots.cols() < options_.degraded.min_snapshots) {
-      ++stats_.low_snapshot_observations;
-      ++epoch_.low_snapshot_observations;
-      if (obs::enabled()) {
-        PipelineCounters::get().low_snapshot_observations.inc();
-      }
-    }
-    // Same call site the serial observe() loop hits, in the same sorted
-    // order, so RSS links and phase health are bit-identical too.
-    accumulate_rss(item.array_idx, item.epc, r.coherence, r.online_power);
-    stats_.drops_detected += r.drops.size();
-    epoch_.drops_detected += r.drops.size();
-    if (obs::enabled()) {
-      PipelineCounters::get().drops_detected.inc(r.drops.size());
-    }
-    auto& sink = evidence_[item.array_idx].drops;
-    sink.insert(sink.end(), r.drops.begin(), r.drops.end());
-    total += r.drops.size();
+    total += absorb(item.array_idx, item.epc, results[slot]);
   }
   return total;
 }
@@ -695,10 +665,8 @@ std::size_t DWatchPipeline::observe(std::size_t array_idx,
   // not pollute this epoch's evidence (quarantined, counted, no abort).
   if (options_.degraded.reject_stale && epoch_.watermark_us > 0 &&
       obs.first_seen_us < epoch_.watermark_us) {
-    ++stats_.stale_observations;
-    ++epoch_.stale_observations;
+    tally(&ObservationCounts::stale_observations);
     if (dwatch::obs::enabled()) {
-      PipelineCounters::get().stale_observations.inc();
       dwatch::obs::EventLog::global().emit(
           dwatch::obs::Event("pipeline.stale_observation")
               .field("array", array_idx)
@@ -718,10 +686,8 @@ std::size_t DWatchPipeline::observe(std::size_t array_idx,
   } catch (const std::invalid_argument&) {
     // No complete inventory round survived (dead element, sample loss):
     // quarantine the observation instead of aborting the epoch.
-    ++stats_.malformed_observations;
-    ++epoch_.malformed_observations;
+    tally(&ObservationCounts::malformed_observations);
     if (dwatch::obs::enabled()) {
-      PipelineCounters::get().malformed_observations.inc();
       dwatch::obs::EventLog::global().emit(
           dwatch::obs::Event("pipeline.malformed_observation")
               .field("array", array_idx)
@@ -794,6 +760,7 @@ LocationEstimate DWatchPipeline::localize() const {
 
 ConfidenceReport DWatchPipeline::confidence_report() const {
   ConfidenceReport r;
+  static_cast<ObservationCounts&>(r) = epoch_.counts;
   r.arrays_total = arrays_.size();
   for (const AngularEvidence& e : evidence_) {
     if (e.excluded) {
@@ -802,15 +769,6 @@ ConfidenceReport DWatchPipeline::confidence_report() const {
       ++r.arrays_with_evidence;
     }
   }
-  r.observations = epoch_.observations;
-  r.observations_skipped = epoch_.observations_skipped;
-  r.stale_observations = epoch_.stale_observations;
-  r.low_snapshot_observations = epoch_.low_snapshot_observations;
-  r.malformed_observations = epoch_.malformed_observations;
-  r.drops_detected = epoch_.drops_detected;
-  r.reports_dropped = epoch_.reports_dropped;
-  r.transport_retries = epoch_.transport_retries;
-  r.transport_timeouts = epoch_.transport_timeouts;
   r.rss_mode = rss_active();
   r.phase_health = phase_health();
   if (obs::enabled()) {

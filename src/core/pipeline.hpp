@@ -154,16 +154,14 @@ struct BatchObservation {
   linalg::CMatrix snapshots;
 };
 
-/// Counters exposed for observability (cumulative over the pipeline's
-/// lifetime). Every per-epoch ConfidenceReport counter has a lifetime
-/// twin here, incremented at the same sites, so the sum of per-epoch
-/// reports always equals the lifetime totals (asserted by
-/// tests/obs/pipeline_obs_test). When the obs runtime switch is on,
-/// the same increments are mirrored into process-wide
-/// `dwatch_pipeline_*_total` registry counters.
-struct PipelineStats {
-  std::size_t baselines = 0;          ///< (array, tag) baselines stored
-  std::size_t epochs = 0;             ///< begin_epoch() calls
+/// The per-observation counters, kept once per epoch (ConfidenceReport)
+/// and once per lifetime (PipelineStats). DWatchPipeline changes them in
+/// exactly one place, which bumps the epoch count and its lifetime twin
+/// together, so the sum of per-epoch reports always equals the lifetime
+/// totals (asserted by tests/obs/pipeline_obs_test). When the obs
+/// runtime switch is on, the same increments are mirrored into
+/// process-wide `dwatch_pipeline_*_total` registry counters.
+struct ObservationCounts {
   std::size_t observations = 0;       ///< online spectra processed
   std::size_t observations_skipped = 0;  ///< online without a baseline
   std::size_t drops_detected = 0;
@@ -175,6 +173,15 @@ struct PipelineStats {
   std::size_t reports_dropped = 0;    ///< lost/quarantined upstream
   std::size_t transport_retries = 0;
   std::size_t transport_timeouts = 0;
+
+  bool operator==(const ObservationCounts&) const = default;
+};
+
+/// Counters exposed for observability (cumulative over the pipeline's
+/// lifetime): the observation counts plus two lifetime-only ones.
+struct PipelineStats : ObservationCounts {
+  std::size_t baselines = 0;          ///< (array, tag) baselines stored
+  std::size_t epochs = 0;             ///< begin_epoch() calls
 
   bool operator==(const PipelineStats&) const = default;
 };
@@ -202,19 +209,10 @@ struct PipelineState {
 /// what was lost on the way, how degraded the inputs were. Two runs
 /// with identical inputs (same fault seed) produce bit-identical
 /// reports — asserted by the stress suite.
-struct ConfidenceReport {
+struct ConfidenceReport : ObservationCounts {
   std::size_t arrays_total = 0;
   std::size_t arrays_with_evidence = 0;  ///< usable (not excluded) arrays
   std::size_t arrays_excluded = 0;       ///< flagged unhealthy/stale
-  std::size_t observations = 0;          ///< spectra in this epoch
-  std::size_t observations_skipped = 0;  ///< no baseline
-  std::size_t stale_observations = 0;    ///< rejected as stale
-  std::size_t low_snapshot_observations = 0;  ///< widened-kernel spectra
-  std::size_t malformed_observations = 0;     ///< no complete round
-  std::size_t drops_detected = 0;
-  std::size_t reports_dropped = 0;   ///< lost/quarantined upstream
-  std::size_t transport_retries = 0;
-  std::size_t transport_timeouts = 0;
   /// This fix came from the RSS-only fallback, not the phase path.
   bool rss_mode = false;
   /// Mean inter-element phase coherence of this epoch's observations
@@ -443,19 +441,35 @@ class DWatchPipeline {
       std::size_t array_idx, const linalg::CMatrix& snapshots) const;
   [[nodiscard]] AngularSpectrum compute_online_power(
       std::size_t array_idx, const linalg::CMatrix& snapshots) const;
-  /// Detection for one observation with a known baseline: online power
-  /// spectrum + drop detection, tagged with the EPC serial. Const and
-  /// side-effect free so batch items can run on any worker.
-  [[nodiscard]] std::vector<PathDrop> detect_drops(
-      std::size_t array_idx, const rfid::Epc96& epc,
-      const AngularSpectrum& baseline,
-      const linalg::CMatrix& snapshots) const;
+  /// What observe() learns from one observation before it changes any
+  /// pipeline state, so observe_batch() can compute it on any worker.
+  struct Detection {
+    bool has_baseline = false;  ///< false = skipped, nothing else set
+    std::size_t snapshot_cols = 0;
+    double coherence = 0.0;     ///< phase_coherence of the raw snapshots
+    double online_power = 0.0;  ///< mean sample power (the RSS observable)
+    std::vector<PathDrop> drops;
+  };
+  /// Non-streaming detection for one observation: baseline lookup, RSS
+  /// observables, online power spectrum and drop detection, tagged with
+  /// the EPC serial. Const and side-effect free.
+  [[nodiscard]] Detection detect(std::size_t array_idx,
+                                 const rfid::Epc96& epc,
+                                 const linalg::CMatrix& snapshots) const;
   void check_array(std::size_t array_idx) const;
 
+  /// The only place an ObservationCounts counter changes: bumps the
+  /// epoch count, its lifetime twin and (obs on) the registry mirror.
+  void tally(std::size_t ObservationCounts::*counter, std::size_t n = 1);
+  /// Bookkeeping shared by observe() and the observe_batch() serial
+  /// merge, so both orders are bit-identical: count the observation
+  /// (skipped / observed / low-snapshot), fold its RSS sample, tally its
+  /// drops and append them to the array's evidence. Returns the drops.
+  std::size_t absorb(std::size_t array_idx, const rfid::Epc96& epc,
+                     const Detection& d);
   /// Per-epoch RSS bookkeeping for one observation with a stored
   /// baseline: coherence sampling plus (when the tag is surveyed and a
-  /// baseline power exists) the link drop. Shared by observe() and the
-  /// observe_batch() serial merge so both orders are bit-identical.
+  /// baseline power exists) the link drop.
   void accumulate_rss(std::size_t array_idx, const rfid::Epc96& epc,
                       double coherence, double online_power);
   [[nodiscard]] std::vector<std::uint8_t> excluded_flags() const;
@@ -492,15 +506,7 @@ class DWatchPipeline {
   /// Per-epoch degraded-mode state (reset by begin_epoch).
   struct EpochState {
     std::uint64_t watermark_us = 0;
-    std::size_t observations = 0;
-    std::size_t observations_skipped = 0;
-    std::size_t stale_observations = 0;
-    std::size_t low_snapshot_observations = 0;
-    std::size_t malformed_observations = 0;
-    std::size_t drops_detected = 0;
-    std::size_t reports_dropped = 0;
-    std::size_t transport_retries = 0;
-    std::size_t transport_timeouts = 0;
+    ObservationCounts counts;
     /// RSS fallback: per-epoch link evidence + phase-health average.
     std::vector<RssLink> rss_links;
     double coherence_sum = 0.0;

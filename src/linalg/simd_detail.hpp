@@ -1,12 +1,12 @@
 // INTERNAL header for the SIMD kernel layer — not part of the linalg
 // API. Shared between simd_dispatch.cpp and the per-architecture
-// translation units (simd_avx2.cpp, simd_neon.cpp).
+// translation unit (simd_avx2.cpp).
 //
 // The lane-range functions below are the rounding-sequence ground
 // truth: they spell out, lane by lane, the exact mul/add/sub order the
 // legacy std::complex kernels produce (see the equivalence notes at
 // each kernel). The scalar backend runs them over the full lane range;
-// the vector backends run their main loop on whole vectors and call
+// the AVX2 backend runs its main loop on whole vectors and calls
 // these for the odd tail — so a tail lane and a vector lane compute
 // identical bits by construction.
 #pragma once
@@ -24,13 +24,6 @@
 #define DWATCH_SIMD_X86 1
 #else
 #define DWATCH_SIMD_X86 0
-#endif
-
-#if DWATCH_SIMD_ENABLED && \
-    (defined(__aarch64__) || (defined(__ARM_NEON) && defined(__arm__)))
-#define DWATCH_SIMD_NEON 1
-#else
-#define DWATCH_SIMD_NEON 0
 #endif
 
 namespace dwatch::linalg::simd::detail {
@@ -201,17 +194,6 @@ void matmul_hermitian_left_avx2(const CMatrix& u, const SplitComplexMatrix& c,
 void column_squared_norms_avx2(const SplitComplexMatrix& a, double* out);
 void sample_correlation_avx2(const SplitComplexMatrix& xt, CMatrix& out);
 void accumulate_outer_products_avx2(const SplitComplexMatrix& xt,
-                                    SplitComplexMatrix& acc);
-#endif
-
-#if DWATCH_SIMD_NEON
-void batched_quadratic_form_neon(const CMatrix& r, const SplitComplexMatrix& a,
-                                 double* out);
-void matmul_hermitian_left_neon(const CMatrix& u, const SplitComplexMatrix& c,
-                                SplitComplexMatrix& out);
-void column_squared_norms_neon(const SplitComplexMatrix& a, double* out);
-void sample_correlation_neon(const SplitComplexMatrix& xt, CMatrix& out);
-void accumulate_outer_products_neon(const SplitComplexMatrix& xt,
                                     SplitComplexMatrix& acc);
 #endif
 

@@ -31,12 +31,6 @@ Backend clamp_supported(Backend requested) noexcept {
       if (detail::avx2_available()) return Backend::kAvx2;
 #endif
       return Backend::kScalar;
-    case Backend::kNeon:
-#if DWATCH_SIMD_NEON
-      return Backend::kNeon;
-#else
-      return Backend::kScalar;
-#endif
     case Backend::kScalar:
       break;
   }
@@ -57,8 +51,6 @@ const char* backend_name(Backend backend) noexcept {
   switch (backend) {
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kNeon:
-      return "neon";
     case Backend::kScalar:
       break;
   }
@@ -66,15 +58,12 @@ const char* backend_name(Backend backend) noexcept {
 }
 
 bool compiled_with_simd() noexcept {
-  return DWATCH_SIMD_X86 != 0 || DWATCH_SIMD_NEON != 0;
+  return DWATCH_SIMD_X86 != 0;
 }
 
 Backend detected_backend() noexcept {
 #if DWATCH_SIMD_X86
   if (detail::avx2_available()) return Backend::kAvx2;
-#endif
-#if DWATCH_SIMD_NEON
-  return Backend::kNeon;
 #endif
   return Backend::kScalar;
 }
@@ -129,9 +118,6 @@ EnvRequest parse_env(const char* value) noexcept {
   } else if (v == "avx2" || v == "AVX2") {
     out.has_request = true;
     out.requested = Backend::kAvx2;
-  } else if (v == "neon" || v == "NEON") {
-    out.has_request = true;
-    out.requested = Backend::kNeon;
   }
   // Anything else (including "auto" and "") falls through to detection.
   return out;
@@ -150,11 +136,6 @@ std::vector<double> batched_quadratic_form(const CMatrix& r,
 #if DWATCH_SIMD_X86
     case Backend::kAvx2:
       detail::batched_quadratic_form_avx2(r, a, out.data());
-      return out;
-#endif
-#if DWATCH_SIMD_NEON
-    case Backend::kNeon:
-      detail::batched_quadratic_form_neon(r, a, out.data());
       return out;
 #endif
     default:
@@ -176,11 +157,6 @@ SplitComplexMatrix matmul_hermitian_left(const CMatrix& u,
       detail::matmul_hermitian_left_avx2(u, c, out);
       return out;
 #endif
-#if DWATCH_SIMD_NEON
-    case Backend::kNeon:
-      detail::matmul_hermitian_left_neon(u, c, out);
-      return out;
-#endif
     default:
       detail::matmul_hermitian_left_lanes(u, c, 0, c.cols(), out);
       return out;
@@ -194,11 +170,6 @@ std::vector<double> column_squared_norms(const SplitComplexMatrix& a) {
 #if DWATCH_SIMD_X86
     case Backend::kAvx2:
       detail::column_squared_norms_avx2(a, out.data());
-      return out;
-#endif
-#if DWATCH_SIMD_NEON
-    case Backend::kNeon:
-      detail::column_squared_norms_neon(a, out.data());
       return out;
 #endif
     default:
@@ -216,11 +187,6 @@ CMatrix sample_correlation(const SplitComplexMatrix& xt) {
 #if DWATCH_SIMD_X86
     case Backend::kAvx2:
       detail::sample_correlation_avx2(xt, out);
-      return out;
-#endif
-#if DWATCH_SIMD_NEON
-    case Backend::kNeon:
-      detail::sample_correlation_neon(xt, out);
       return out;
 #endif
     default:
@@ -243,11 +209,6 @@ void accumulate_outer_products(const SplitComplexMatrix& xt,
 #if DWATCH_SIMD_X86
     case Backend::kAvx2:
       detail::accumulate_outer_products_avx2(xt, acc);
-      return;
-#endif
-#if DWATCH_SIMD_NEON
-    case Backend::kNeon:
-      detail::accumulate_outer_products_neon(xt, acc);
       return;
 #endif
     default:

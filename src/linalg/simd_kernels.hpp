@@ -19,15 +19,16 @@
 // Backend selection happens ONCE per process (memoized), in priority
 // order: test override > DWATCH_SIMD environment variable > cpuid-style
 // detection. `DWATCH_SIMD=off` (or `scalar`) forces the scalar path;
-// `DWATCH_SIMD=avx2` / `neon` requests a specific backend and falls
-// back to scalar when the CPU or build cannot honour it. Compiling with
+// `DWATCH_SIMD=avx2` requests the AVX2 backend and falls back to
+// scalar when the CPU or build cannot honour it; any other value falls
+// through to detection. Compiling with
 // -DDWATCH_SIMD=OFF (CMake) removes the vector code paths entirely and
 // pins the backend to scalar.
 //
 // Call sites in core/ branch on active_backend(): the scalar backend
 // routes through the UNTOUCHED legacy CMatrix code (so a SIMD-off build
 // or DWATCH_SIMD=off run executes byte-for-byte the pre-SIMD hot path),
-// while vector backends take the SoA kernels below.
+// while the AVX2 backend takes the SoA kernels below.
 #pragma once
 
 #include <cstddef>
@@ -41,10 +42,9 @@ namespace dwatch::linalg::simd {
 enum class Backend : int {
   kScalar = 0,
   kAvx2 = 1,
-  kNeon = 2,
 };
 
-/// Stable lower-case name for logs/metrics ("scalar", "avx2", "neon").
+/// Stable lower-case name for logs/metrics ("scalar", "avx2").
 [[nodiscard]] const char* backend_name(Backend backend) noexcept;
 
 /// True when this binary was built with vector kernels compiled in

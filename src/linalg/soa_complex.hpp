@@ -6,8 +6,8 @@
 // spectral hot path (MUSIC Eq. 8 projection, P-MUSIC Eq. 13
 // delay-and-sum, covariance accumulation) iterates one *lane* per grid
 // column / array element, so storing the real and imaginary parts as two
-// separate row-major planes lets a 4-wide AVX2 (or 2-wide NEON) vector
-// process 4 (2) independent lanes with plain mul/add — no shuffles, no
+// separate row-major planes lets a 4-wide AVX2 vector
+// process 4 independent lanes with plain mul/add — no shuffles, no
 // horizontal reductions, and per-lane operation order identical to the
 // scalar code (the bit-identical-parity contract in simd_kernels.hpp).
 //

@@ -44,7 +44,9 @@ struct RecoveryStats {
   std::uint64_t recalibrations_rolled_back = 0;
   std::uint64_t baselines_invalidated = 0;  ///< arrays whose refs were reset
   std::uint64_t drift_epochs = 0;     ///< epochs with >= 1 drifting array
-  std::uint64_t epochs_aborted = 0;   ///< supervisor deadline aborts
+  /// Kept for the frozen DWCP v1 layout; nothing increments it, so it
+  /// stays 0 unless restored from an image that carried a count.
+  std::uint64_t epochs_aborted = 0;
 
   bool operator==(const RecoveryStats&) const = default;
 };

@@ -26,7 +26,8 @@ SearchBounds bounds() { return {{0.0, 0.0}, {7.0, 10.0}}; }
 linalg::CMatrix synth(const rf::UniformLinearArray& array,
                       const std::vector<double>& angles_rad,
                       const std::vector<double>& amps,
-                      const std::vector<double>& scale, std::uint64_t seed) {
+                      const std::vector<double>& scale, std::uint64_t seed,
+                      std::size_t num_snapshots = 16) {
   std::vector<rf::PropagationPath> paths;
   for (std::size_t i = 0; i < angles_rad.size(); ++i) {
     rf::PropagationPath p;
@@ -38,13 +39,16 @@ linalg::CMatrix synth(const rf::UniformLinearArray& array,
     paths.push_back(p);
   }
   rf::SnapshotOptions opts;
-  opts.num_snapshots = 16;
+  opts.num_snapshots = num_snapshots;
   opts.noise_sigma = rf::noise_sigma_for_snr(paths, 1.0, 35.0);
   rf::Rng rng(seed);
   return rf::synthesize_snapshots(array, paths, scale, opts, rng);
 }
 
 constexpr std::size_t kTags = 6;
+/// A tag with a baseline at array 0 only, observed online with fewer
+/// columns than DegradedModeOptions::min_snapshots.
+constexpr std::uint32_t kLowSnapshotTag = 100;
 
 std::vector<double> tag_angles(std::size_t array_idx, std::size_t tag) {
   return {rf::deg2rad(40.0 + 6.0 * static_cast<double>(tag) +
@@ -56,6 +60,8 @@ std::uint64_t seed_of(std::size_t array_idx, std::size_t tag, bool online) {
   return 1000 + 100 * array_idx + 10 * tag + (online ? 1 : 0);
 }
 
+/// Every tag also gets a surveyed position, so the RSS link evidence
+/// accumulates alongside the phase path (the RSS fallback stays inert).
 DWatchPipeline make_pipeline(std::size_t workers) {
   PipelineOptions options;
   options.num_workers = workers;
@@ -64,18 +70,25 @@ DWatchPipeline make_pipeline(std::size_t workers) {
   const std::vector<double> amps{0.02, 0.012};
   for (std::size_t a = 0; a < arrays.size(); ++a) {
     for (std::size_t t = 0; t < kTags; ++t) {
-      pipe.add_baseline(a, rfid::Epc96::for_tag_index(
-                               static_cast<std::uint32_t>(t)),
+      const auto epc =
+          rfid::Epc96::for_tag_index(static_cast<std::uint32_t>(t));
+      pipe.add_baseline(a, epc,
                         synth(arrays[a], tag_angles(a, t), amps, {},
                               seed_of(a, t, false)));
+      pipe.set_tag_position(epc, {1.0 + static_cast<double>(t), 6.0});
     }
   }
+  const auto low = rfid::Epc96::for_tag_index(kLowSnapshotTag);
+  pipe.add_baseline(0, low,
+                    synth(arrays[0], tag_angles(0, 0), amps, {}, 5151));
+  pipe.set_tag_position(low, {3.0, 2.0});
   return pipe;
 }
 
 /// The online batch: the first path of every even tag is blocked at
 /// array 0, odd tags at array 1, so both arrays accumulate real drops.
-/// One extra item has no baseline (exercises the skip path).
+/// One extra item has no baseline (exercises the skip path) and one
+/// has too few snapshot columns (exercises the low-snapshot path).
 std::vector<BatchObservation> make_batch() {
   const auto arrays = two_arrays();
   const std::vector<double> amps{0.02, 0.012};
@@ -99,6 +112,12 @@ std::vector<BatchObservation> make_batch() {
   unknown.epc = rfid::Epc96::for_tag_index(999);
   unknown.snapshots = synth(arrays[0], tag_angles(0, 0), amps, {}, 4242);
   batch.push_back(std::move(unknown));
+  BatchObservation low;
+  low.array_idx = 0;
+  low.epc = rfid::Epc96::for_tag_index(kLowSnapshotTag);
+  low.snapshots =
+      synth(arrays[0], tag_angles(0, 0), amps, {0.15, 1.0}, 5152, 4);
+  batch.push_back(std::move(low));
   return batch;
 }
 
@@ -148,6 +167,13 @@ TEST(ObserveBatch, MatchesSerialObserveLoopForEveryWorkerCount) {
   const auto ref_evidence = reference.evidence();
   const auto ref_filtered = reference.filtered_evidence();
   const LocationEstimate ref_fix = reference.localize_best_effort();
+  const ConfidenceReport ref_report = reference.confidence_report();
+  ASSERT_GT(ref_report.low_snapshot_observations, 0u)
+      << "fixture has no low-snapshot item";
+  ASSERT_GT(ref_report.observations_skipped, 0u)
+      << "fixture has no skipped item";
+  const std::vector<RssLink> ref_links = reference.rss_links();
+  ASSERT_FALSE(ref_links.empty()) << "fixture produced no RSS links";
 
   const std::size_t hw =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -166,13 +192,20 @@ TEST(ObserveBatch, MatchesSerialObserveLoopForEveryWorkerCount) {
     EXPECT_EQ(fix.likelihood, ref_fix.likelihood) << label;
     EXPECT_EQ(fix.consensus, ref_fix.consensus) << label;
     EXPECT_EQ(fix.valid, ref_fix.valid) << label;
-    EXPECT_EQ(pipe.stats().observations, reference.stats().observations)
-        << label;
-    EXPECT_EQ(pipe.stats().observations_skipped,
-              reference.stats().observations_skipped)
-        << label;
-    EXPECT_EQ(pipe.stats().drops_detected, reference.stats().drops_detected)
-        << label;
+    EXPECT_TRUE(pipe.stats() == reference.stats()) << label;
+    EXPECT_TRUE(pipe.confidence_report() == ref_report) << label;
+    const std::vector<RssLink>& links = pipe.rss_links();
+    ASSERT_EQ(links.size(), ref_links.size()) << label;
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      EXPECT_EQ(links[i].array_idx, ref_links[i].array_idx)
+          << label << " link " << i;
+      EXPECT_EQ(links[i].tag_position.x, ref_links[i].tag_position.x)
+          << label << " link " << i;
+      EXPECT_EQ(links[i].tag_position.y, ref_links[i].tag_position.y)
+          << label << " link " << i;
+      EXPECT_EQ(links[i].drop_fraction, ref_links[i].drop_fraction)
+          << label << " link " << i;
+    }
   }
 }
 

@@ -300,19 +300,17 @@ TEST(SimdDispatch, EnvParsingTable) {
   EXPECT_TRUE(detail::parse_env("0").forced_scalar);
   EXPECT_TRUE(detail::parse_env("avx2").has_request);
   EXPECT_EQ(detail::parse_env("avx2").requested, Backend::kAvx2);
-  EXPECT_TRUE(detail::parse_env("neon").has_request);
-  EXPECT_EQ(detail::parse_env("neon").requested, Backend::kNeon);
   // Unknown values and "auto" fall through to detection, not failure.
   EXPECT_FALSE(detail::parse_env("auto").forced_scalar);
   EXPECT_FALSE(detail::parse_env("auto").has_request);
   EXPECT_FALSE(detail::parse_env("warp-drive").has_request);
+  EXPECT_FALSE(detail::parse_env("neon").has_request);
   EXPECT_FALSE(detail::parse_env("").has_request);
 }
 
 TEST(SimdDispatch, BackendNamesAreStable) {
   EXPECT_STREQ(backend_name(Backend::kScalar), "scalar");
   EXPECT_STREQ(backend_name(Backend::kAvx2), "avx2");
-  EXPECT_STREQ(backend_name(Backend::kNeon), "neon");
 }
 
 TEST(SimdDispatch, OverrideClampsToSupported) {
@@ -326,12 +324,7 @@ TEST(SimdDispatch, OverrideClampsToSupported) {
     EXPECT_EQ(active_backend(), detected_backend());
   }
   // ...and requesting a foreign-architecture backend clamps to scalar.
-#if defined(__x86_64__) || defined(__i386__)
-  {
-    const ScopedBackend scope(Backend::kNeon);
-    EXPECT_EQ(active_backend(), Backend::kScalar);
-  }
-#elif defined(__aarch64__)
+#if !defined(__x86_64__) && !defined(__i386__)
   {
     const ScopedBackend scope(Backend::kAvx2);
     EXPECT_EQ(active_backend(), Backend::kScalar);

@@ -596,6 +596,9 @@ TEST(ServeRouter, DrainingReasonSeparatesTeardownFromUnknown) {
 
   EXPECT_EQ(router.reports_unroutable(), 3u);
   EXPECT_EQ(router.reports_unroutable_draining(), 2u);
+  // The labelled registry counters are compiled out of a DWATCH_OBS=OFF
+  // tree; the router's own counts above cover both configurations.
+#if DWATCH_OBS_ENABLED
   EXPECT_EQ(obs::MetricsRegistry::global()
                 .counter("dwatch_serve_unroutable_total",
                          "reason=\"draining\"")
@@ -606,6 +609,7 @@ TEST(ServeRouter, DrainingReasonSeparatesTeardownFromUnknown) {
                          "reason=\"unknown\"")
                 .value(),
             1u);
+#endif
 
   // Re-registration clears the draining mark both ways: routes again,
   // and a LATER unbind still counts as draining.
