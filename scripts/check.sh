@@ -6,6 +6,9 @@
 #      outside its own .cpp in src/, bench/, examples/ or perfbench/
 #      (tests do not count as callers);
 #   1. tier-1: configure + build + full ctest of the default tree;
+#      then stable test names: no ctest name may carry a gtest raw
+#      byte dump of 8 bytes or more (a parameter holding a pointer,
+#      so the name changes with every build);
 #   2. recovery: the self-healing label on the same tree (fast re-run,
 #      isolates a recovery regression from an unrelated tier-1 one);
 #      then the scenario label (the compliance suite) the same way,
@@ -63,6 +66,21 @@ fi
 run cmake -S . -B build
 run cmake --build build --parallel "$JOBS"
 run ctest --test-dir build --output-on-failure
+
+# --- 1b. stable test names --------------------------------------------------
+# gtest prints a parameter it has no printer for as "<N>-byte object
+# <hex bytes>". From 8 bytes up such a dump can hold a pointer, and the
+# name then changes with every build and run: parameterize by a name or
+# an index instead. The 1- and 2-byte enum dumps are stable and legal.
+echo
+echo "==> stable test-name check"
+UNSTABLE="$(ctest --test-dir build -N \
+  | grep -E '([0-9]{2,}|[89])-byte object <' || true)"
+if [ -n "${UNSTABLE}" ]; then
+  echo "check.sh: test names holding a raw parameter byte dump:" >&2
+  echo "${UNSTABLE}" >&2
+  exit 1
+fi
 
 # --- 2. recovery label, explicitly --------------------------------------
 run ctest --test-dir build -L recovery --output-on-failure

@@ -289,8 +289,8 @@ void DWatchPipeline::restore(const PipelineState& state) {
   epoch_.watermark_us = state.watermark_us;
   max_seen_us_ = state.watermark_us;
   // Streaming state is in-memory only (the DWCP v1 layout is frozen):
-  // drop accumulated covariances and tracked bases; trackers rebuild
-  // from the dense oracle on the first post-restore observation.
+  // drop the accumulated covariances; the next observation of each tag
+  // starts a fresh one.
   for (auto& per_array : streams_) per_array.clear();
   std::fill(stream_reports_.begin(), stream_reports_.end(), 0);
   last_estimate_ = LocationEstimate{};
@@ -298,38 +298,25 @@ void DWatchPipeline::restore(const PipelineState& state) {
   converged_ = false;
 }
 
-AngularSpectrum DWatchPipeline::compute_omega(
+linalg::CMatrix DWatchPipeline::calibrated(
     std::size_t array_idx, const linalg::CMatrix& snapshots) const {
-  const auto& array = arrays_[array_idx];
-  if (snapshots.rows() != array.num_elements()) {
+  if (snapshots.rows() != arrays_[array_idx].num_elements()) {
     throw std::invalid_argument("DWatchPipeline: snapshot row mismatch");
   }
   linalg::CMatrix x = snapshots;
   if (calibration_[array_idx]) {
     apply_phase_correction(x, *calibration_[array_idx]);
   }
-  return pmusic_[array_idx].estimate(x).omega;
-}
-
-AngularSpectrum DWatchPipeline::compute_online_power(
-    std::size_t array_idx, const linalg::CMatrix& snapshots) const {
-  const auto& array = arrays_[array_idx];
-  if (snapshots.rows() != array.num_elements()) {
-    throw std::invalid_argument("DWatchPipeline: snapshot row mismatch");
-  }
-  linalg::CMatrix x = snapshots;
-  if (calibration_[array_idx]) {
-    apply_phase_correction(x, *calibration_[array_idx]);
-  }
-  return pmusic_[array_idx].power_spectrum(sample_correlation(x));
+  return x;
 }
 
 void DWatchPipeline::add_baseline(std::size_t array_idx,
                                   const rfid::Epc96& epc,
                                   const linalg::CMatrix& snapshots) {
   check_array(array_idx);
+  const linalg::CMatrix x = calibrated(array_idx, snapshots);
   auto [it, inserted] = baselines_[array_idx].insert_or_assign(
-      epc, compute_omega(array_idx, snapshots));
+      epc, pmusic_[array_idx].estimate(x).omega);
   if (inserted) ++stats_.baselines;
   // Calibration is phase-only, so the uncorrected magnitudes double as
   // the RSS fallback's per-link reference power.
@@ -358,11 +345,10 @@ void DWatchPipeline::begin_epoch(std::uint64_t watermark_us) {
   epoch_ = EpochState{};
   epoch_.watermark_us = watermark_us;
   // Streaming per-epoch state: covariances restart (the epoch is the
-  // averaging window); trackers keep their basis across epochs — the
-  // warm start is the point of tracking.
+  // averaging window).
   if (options_.streaming.enabled) {
     for (auto& per_array : streams_) {
-      for (auto& [epc, stream] : per_array) stream.cov.reset();
+      for (auto& [epc, cov] : per_array) cov.reset();
     }
   }
   std::fill(stream_reports_.begin(), stream_reports_.end(), 0);
@@ -414,28 +400,36 @@ void DWatchPipeline::note_reports_dropped(std::size_t count) {
   tally(&ObservationCounts::reports_dropped, count);
 }
 
-DWatchPipeline::Detection DWatchPipeline::detect(
+std::vector<PathDrop> DWatchPipeline::detect_drops(
     std::size_t array_idx, const rfid::Epc96& epc,
-    const linalg::CMatrix& snapshots) const {
-  const auto it = baselines_[array_idx].find(epc);
-  if (it == baselines_[array_idx].end()) return {};
+    const AngularSpectrum& baseline, const linalg::CMatrix& r,
+    std::size_t num_snapshots) const {
   // Baseline peak positions come from the P-MUSIC spectrum; the ONLINE
   // power at those positions is read from the beamforming power spectrum
   // PB, which is free of MUSIC's model-order jitter (a vanished weak
   // MUSIC peak must not masquerade as a physical power drop). At a peak
   // the two spectra share the same scale: Omega = PB * Nor(B) with
   // Nor(B) == 1 there.
-  const AngularSpectrum online_power =
-      compute_online_power(array_idx, snapshots);
-  std::vector<PathDrop> drops = detector_.detect(it->second, online_power);
+  std::vector<PathDrop> drops =
+      detector_.detect(baseline, pmusic_[array_idx].power_spectrum(r));
   // Degraded mode: a spectrum computed from too few snapshots carries a
   // less trustworthy peak angle — widen its localization kernel.
-  const bool low_snapshots =
-      snapshots.cols() < options_.degraded.min_snapshots;
+  const bool low_snapshots = num_snapshots < options_.degraded.min_snapshots;
   for (PathDrop& d : drops) {
     d.source_id = epc.serial();
     if (low_snapshots) d.sigma_scale = options_.degraded.sigma_widen;
   }
+  return drops;
+}
+
+DWatchPipeline::Detection DWatchPipeline::detect(
+    std::size_t array_idx, const rfid::Epc96& epc,
+    const linalg::CMatrix& snapshots) const {
+  const auto it = baselines_[array_idx].find(epc);
+  if (it == baselines_[array_idx].end()) return {};
+  const linalg::CMatrix x = calibrated(array_idx, snapshots);
+  std::vector<PathDrop> drops = detect_drops(
+      array_idx, epc, it->second, sample_correlation(x), x.cols());
   return {.has_baseline = true,
           .snapshot_cols = snapshots.cols(),
           .coherence = phase_coherence(snapshots),
@@ -447,63 +441,23 @@ std::vector<PathDrop> DWatchPipeline::detect_drops_streaming(
     std::size_t array_idx, const rfid::Epc96& epc,
     const AngularSpectrum& baseline, const linalg::CMatrix& snapshots) {
   DWATCH_SPAN("pipeline.streaming_observe");
-  const auto& array = arrays_[array_idx];
-  if (snapshots.rows() != array.num_elements()) {
-    throw std::invalid_argument("DWatchPipeline: snapshot row mismatch");
-  }
-  linalg::CMatrix x = snapshots;
-  if (calibration_[array_idx]) {
-    apply_phase_correction(x, *calibration_[array_idx]);
-  }
-
-  const std::size_t m = array.num_elements();
-  auto [it, inserted] = streams_[array_idx].try_emplace(
-      epc, StreamState{IncrementalCovariance(m),
-                       SubspaceTracker(options_.streaming.tracker)});
-  StreamState& stream = it->second;
-  stream.cov.accumulate(x);
+  const linalg::CMatrix x = calibrated(array_idx, snapshots);
+  IncrementalCovariance& cov =
+      streams_[array_idx]
+          .try_emplace(epc, arrays_[array_idx].num_elements())
+          .first->second;
+  cov.accumulate(x);
   ++stream_reports_[array_idx];
   streaming_stats_.rank1_updates += x.cols();
-
+  ++streaming_stats_.streamed_spectra;
   // The EPOCH-accumulated correlation, not this report's: every new
   // report sharpens the spectrum instead of standing alone, which is
-  // why the drops below REPLACE the tag's earlier evidence.
-  const linalg::CMatrix r = stream.cov.correlation();
-  // Mirror the batch smoothing choice (music.cpp): subarray 0 resolves
-  // to the default; L == M skips the smoother.
-  std::size_t l = options_.pmusic.music.subarray;
-  if (l == 0) l = default_subarray(m);
-  const linalg::CMatrix smoothed = l == m ? r : forward_backward_smooth(r, l);
-  const SubspaceUpdateResult upd = stream.tracker.update(smoothed);
-  if (upd.reset) ++streaming_stats_.tracker_resets;
-
-  // Full Omega = PB(R) * Nor(B) from the TRACKED basis — no dense EVD
-  // on the warm path. This is the streamed spectral product (parity
-  // contract vs the batch EVD lives in the tracker tests).
-  PMusicResult pm = pmusic_[array_idx].compose(
-      r, pmusic_[array_idx].music().estimate_from_subspace(
-             stream.tracker.subspace(), stream.tracker.eigenvalues(),
-             stream.tracker.trace(), stream.cov.num_snapshots()));
-  ++streaming_stats_.streamed_spectra;
-
-  // Drop detection mirrors the batch contract EXACTLY: the online
-  // power at the baseline peaks is read from the beamforming spectrum
-  // PB, never from Omega. Nor(B) < 1 wherever the ONLINE MUSIC peaks
-  // have shifted away from a baseline peak, so reading Omega there
-  // manufactures phantom drops out of model-order jitter — with thin
-  // evidence (few tags) those phantoms outvote the real drops and the
-  // likelihood argmax pins at the grid edge.
-  std::vector<PathDrop> drops = detector_.detect(baseline, pm.power);
-  // Degraded widening keys on the ACCUMULATED snapshot count: once the
-  // epoch has gathered enough columns for this tag, its angle is as
-  // trustworthy as a batch spectrum over the same data.
-  const bool low_snapshots =
-      stream.cov.num_snapshots() < options_.degraded.min_snapshots;
-  for (PathDrop& d : drops) {
-    d.source_id = epc.serial();
-    if (low_snapshots) d.sigma_scale = options_.degraded.sigma_widen;
-  }
-  return drops;
+  // why the drops REPLACE the tag's earlier evidence. Degraded widening
+  // keys on the accumulated snapshot count: once the epoch has gathered
+  // enough columns for this tag, its angle is as trustworthy as a batch
+  // spectrum over the same data.
+  return detect_drops(array_idx, epc, baseline, cov.correlation(),
+                      cov.num_snapshots());
 }
 
 void DWatchPipeline::check_convergence() {

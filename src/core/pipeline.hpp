@@ -58,18 +58,16 @@ struct DegradedModeOptions {
 
 /// Streaming spectral mode (DESIGN.md §16). Off by default: the batch
 /// path stays byte-for-byte what it was. When enabled, each observe()
-/// folds its snapshots into a per-(array, tag) IncrementalCovariance,
-/// the P-MUSIC signal subspace is TRACKED across epochs
-/// (SubspaceTracker; dense EVD only on divergence/reset), and the
-/// epoch can seal EARLY: once the likelihood argmax has been stable
-/// for `convergence_window` consecutive checks the pipeline flags
+/// folds its snapshots into a per-(array, tag) IncrementalCovariance
+/// and runs the batch drop detection on the correlation accumulated so
+/// far, replacing the tag's earlier evidence this epoch; and the epoch
+/// can seal EARLY: once the likelihood argmax has been stable for
+/// `convergence_window` consecutive checks the pipeline flags
 /// early_fix_ready() so the serving layer can emit the fix mid-epoch.
 struct StreamingOptions {
   bool enabled = false;
-  /// Subspace tracker configuration (rank, refinement, divergence).
-  SubspaceTrackerOptions tracker;
   /// Early sealing on likelihood-grid convergence. Disable to keep the
-  /// incremental covariance/tracking path without mid-epoch fixes
+  /// incremental covariance path without mid-epoch fixes
   /// (e.g. multi-target zones, where late evidence can still split the
   /// likelihood mass).
   bool early_seal = true;
@@ -100,8 +98,11 @@ struct StreamingOptions {
 /// DWCP v1 PipelineState — in-memory only, like the RSS references).
 struct StreamingStats {
   std::size_t rank1_updates = 0;    ///< snapshot columns accumulated
-  std::size_t streamed_spectra = 0; ///< online spectra via tracked basis
-  std::size_t tracker_resets = 0;   ///< dense-oracle fallbacks
+  /// Online PB spectra over the accumulated correlation.
+  std::size_t streamed_spectra = 0;
+  /// Always 0: no subspace is tracked. Kept because the benchmark's
+  /// per-layer reader (perfbench/dwbench.cpp) still reports it.
+  std::size_t tracker_resets = 0;
   std::size_t convergence_checks = 0;
   std::size_t early_seals = 0;      ///< epochs declared converged
   /// Observations that arrived after the epoch converged (the serving
@@ -437,10 +438,20 @@ class DWatchPipeline {
   }
 
  private:
-  [[nodiscard]] AngularSpectrum compute_omega(
+  /// Step 2 on a copy of one snapshot matrix: the array's phase
+  /// calibration, if installed. Throws std::invalid_argument on a
+  /// row-count mismatch with the array.
+  [[nodiscard]] linalg::CMatrix calibrated(
       std::size_t array_idx, const linalg::CMatrix& snapshots) const;
-  [[nodiscard]] AngularSpectrum compute_online_power(
-      std::size_t array_idx, const linalg::CMatrix& snapshots) const;
+  /// Online drop detection shared by the batch and streaming paths:
+  /// the beamforming power PB of the calibrated correlation `r`, drops
+  /// against `baseline`, each tagged with the EPC serial and widened
+  /// when `num_snapshots` (the columns behind `r`) is below
+  /// degraded.min_snapshots.
+  [[nodiscard]] std::vector<PathDrop> detect_drops(
+      std::size_t array_idx, const rfid::Epc96& epc,
+      const AngularSpectrum& baseline, const linalg::CMatrix& r,
+      std::size_t num_snapshots) const;
   /// What observe() learns from one observation before it changes any
   /// pipeline state, so observe_batch() can compute it on any worker.
   struct Detection {
@@ -451,8 +462,8 @@ class DWatchPipeline {
     std::vector<PathDrop> drops;
   };
   /// Non-streaming detection for one observation: baseline lookup, RSS
-  /// observables, online power spectrum and drop detection, tagged with
-  /// the EPC serial. Const and side-effect free.
+  /// observables and detect_drops() over this observation's own
+  /// correlation. Const and side-effect free.
   [[nodiscard]] Detection detect(std::size_t array_idx,
                                  const rfid::Epc96& epc,
                                  const linalg::CMatrix& snapshots) const;
@@ -475,9 +486,9 @@ class DWatchPipeline {
   [[nodiscard]] std::vector<std::uint8_t> excluded_flags() const;
 
   /// Streaming-mode detection for one observation: fold the calibrated
-  /// snapshots into the (array, tag) incremental covariance, refresh the
-  /// tracked subspace, and detect drops on the full Omega spectrum of
-  /// the ACCUMULATED covariance. Non-const (mutates the stream state).
+  /// snapshots into the (array, tag) incremental covariance and run
+  /// detect_drops() over the ACCUMULATED correlation. Non-const
+  /// (mutates the stream state).
   [[nodiscard]] std::vector<PathDrop> detect_drops_streaming(
       std::size_t array_idx, const rfid::Epc96& epc,
       const AngularSpectrum& baseline, const linalg::CMatrix& snapshots);
@@ -515,14 +526,9 @@ class DWatchPipeline {
   EpochState epoch_;
 
   /// Streaming-path state (empty / inert unless options_.streaming is
-  /// enabled). Covariances reset per epoch; trackers persist across
-  /// epochs (that is the point of tracking) and are invalidated by
-  /// restore().
-  struct StreamState {
-    IncrementalCovariance cov;
-    SubspaceTracker tracker;
-  };
-  std::vector<std::map<rfid::Epc96, StreamState>> streams_;
+  /// enabled): one accumulated covariance per (array, tag), reset per
+  /// epoch and dropped by restore().
+  std::vector<std::map<rfid::Epc96, IncrementalCovariance>> streams_;
   /// Streamed observations per array this epoch (convergence gating).
   std::vector<std::size_t> stream_reports_;
   StreamingStats streaming_stats_;

@@ -244,6 +244,12 @@ const std::vector<ScenarioSpec>& all_scenarios() {
   return catalogue;
 }
 
+std::vector<std::string> scenario_names() {
+  std::vector<std::string> names;
+  for (const ScenarioSpec& spec : all_scenarios()) names.push_back(spec.name);
+  return names;
+}
+
 const ScenarioSpec* find_scenario(std::string_view name) {
   for (const ScenarioSpec& spec : all_scenarios()) {
     if (spec.name == name) return &spec;

@@ -10,6 +10,7 @@
 //   density     — sparse/dense tag sweeps
 #pragma once
 
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -19,6 +20,10 @@ namespace dwatch::scenario {
 
 /// Every built-in scenario, in a stable order.
 [[nodiscard]] const std::vector<ScenarioSpec>& all_scenarios();
+
+/// Every ScenarioSpec::name, in all_scenarios() order. A stable key for
+/// a scenario, unlike the spec itself, which holds heap pointers.
+[[nodiscard]] std::vector<std::string> scenario_names();
 
 /// Lookup by ScenarioSpec::name; nullptr when absent.
 [[nodiscard]] const ScenarioSpec* find_scenario(std::string_view name);

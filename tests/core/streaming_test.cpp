@@ -1,9 +1,8 @@
 // Tests for the incremental spectral path (core/streaming.hpp): the
 // chunk-accumulated covariance must be BIT-IDENTICAL to the batch
-// sample_correlation over the concatenated snapshots, and the tracked
-// signal subspace must stay within the bounded-divergence contract of
-// the dense batch EVD — within 1e-6 relative on golden fixtures, with
-// an automatic dense reset restoring exact parity on divergence.
+// sample_correlation over the concatenated snapshots, and so a tag's
+// streamed drops must be bit-identical to the batch drops of all its
+// reports this epoch.
 #include "core/streaming.hpp"
 
 #include <gtest/gtest.h>
@@ -11,11 +10,14 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/covariance.hpp"
-#include "core/music.hpp"
+#include "core/pipeline.hpp"
 #include "linalg/complex_matrix.hpp"
+#include "linalg/simd_kernels.hpp"
+#include "rf/array.hpp"
 #include "rf/constants.hpp"
 
 namespace dwatch::core {
@@ -64,18 +66,6 @@ linalg::CMatrix fixture_snapshots(std::size_t num_elements,
   return x;
 }
 
-/// Max per-bin deviation of `got` from `want`, relative to the bin.
-double max_relative_error(const AngularSpectrum& got,
-                          const AngularSpectrum& want) {
-  EXPECT_EQ(got.size(), want.size());
-  double worst = 0.0;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    const double denom = std::max(std::abs(want[i]), 1e-300);
-    worst = std::max(worst, std::abs(got[i] - want[i]) / denom);
-  }
-  return worst;
-}
-
 TEST(IncrementalCovariance, Validation) {
   EXPECT_THROW(IncrementalCovariance{0}, std::invalid_argument);
   IncrementalCovariance cov(4);
@@ -102,12 +92,8 @@ TEST(IncrementalCovariance, ChunkedMatchesBatchBitForBit) {
   IncrementalCovariance cov(m);
   std::size_t col = 0;
   for (const std::size_t c : chunk_cols) {
-    linalg::CMatrix chunk(m, c);
-    for (std::size_t j = 0; j < c; ++j) {
-      for (std::size_t i = 0; i < m; ++i) chunk(i, j) = all(i, col + j);
-    }
+    cov.accumulate(all.block(0, col, m, c));
     col += c;
-    cov.accumulate(chunk);
   }
   EXPECT_EQ(cov.num_snapshots(), total);
 
@@ -136,129 +122,93 @@ TEST(IncrementalCovariance, ResetStartsAFreshEpoch) {
   EXPECT_NEAR(cov.correlation().max_abs_diff(direct), 0.0, 0.0);
 }
 
-TEST(SubspaceTracker, Validation) {
-  SubspaceTrackerOptions bad;
-  bad.rank = 0;
-  EXPECT_THROW(SubspaceTracker{bad}, std::invalid_argument);
-  bad = SubspaceTrackerOptions{};
-  bad.divergence_tolerance = 0.0;
-  EXPECT_THROW(SubspaceTracker{bad}, std::invalid_argument);
-
-  SubspaceTracker tracker{SubspaceTrackerOptions{}};
-  EXPECT_THROW((void)tracker.update(linalg::CMatrix(3, 4)),
-               std::invalid_argument);
-  EXPECT_THROW((void)tracker.update(linalg::CMatrix(1, 1)),
-               std::invalid_argument);
+/// Both backends worth testing on this machine: scalar always, plus the
+/// detected vector backend when there is one.
+std::vector<linalg::simd::Backend> backends_under_test() {
+  namespace simd = linalg::simd;
+  std::vector<simd::Backend> out{simd::Backend::kScalar};
+  if (simd::detected_backend() != simd::Backend::kScalar) {
+    out.push_back(simd::detected_backend());
+  }
+  return out;
 }
 
-TEST(SubspaceTracker, FirstUpdateIsADenseReset) {
-  const linalg::CMatrix r =
-      forward_backward_smooth(sample_correlation(fixture_snapshots(8, 16, 3)),
-                              default_subarray(8));
-  SubspaceTracker tracker{SubspaceTrackerOptions{}};
-  const SubspaceUpdateResult upd = tracker.update(r);
-  EXPECT_TRUE(upd.reset);
-  EXPECT_EQ(tracker.resets(), 1u);
-  EXPECT_EQ(tracker.rank(), 3u);
-  ASSERT_EQ(tracker.eigenvalues().size(), 3u);
-  EXPECT_GE(tracker.eigenvalues()[0], tracker.eigenvalues()[1]);
-  EXPECT_GE(tracker.eigenvalues()[1], tracker.eigenvalues()[2]);
-  // Columns orthonormal.
-  const linalg::CMatrix& u = tracker.subspace();
-  const linalg::CMatrix gram = u.hermitian() * u;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_NEAR(std::abs(gram(i, j)), i == j ? 1.0 : 0.0, 1e-10);
+/// Forces a SIMD backend for one scope, restoring the unforced state
+/// after.
+struct ScopedBackend {
+  explicit ScopedBackend(linalg::simd::Backend b) {
+    linalg::simd::set_backend_override(b);
+  }
+  ~ScopedBackend() { linalg::simd::clear_backend_override(); }
+};
+
+/// The streaming contract: the streamed drops of a tag are the batch
+/// drops of everything it reported this epoch. After the last of a
+/// tag's reports, however they were split, the streaming pipeline's
+/// evidence equals a batch pipeline's observe() of the concatenated
+/// snapshots, bit for bit, on every SIMD backend. Totals of 24 and 5
+/// columns cover both sides of the low-snapshot widening threshold.
+TEST(StreamingPipeline, DropsEqualBatchOverConcatenatedReports) {
+  const std::vector<rf::UniformLinearArray> arrays{
+      rf::UniformLinearArray({3.5, 0.15, 1.25}, {1, 0}, 8),
+      rf::UniformLinearArray({0.15, 5.0, 1.25}, {0, 1}, 8)};
+  const SearchBounds bounds{{0.0, 0.0}, {7.0, 10.0}};
+  const std::vector<double> offsets{0.0, 0.3, -0.2, 0.5,
+                                    0.1, -0.4, 0.25, -0.1};
+  const rfid::Epc96 epc = rfid::Epc96::for_tag_index(1);
+  // Two coherent paths; online the second is mostly blocked.
+  const linalg::CMatrix baseline = fixture_snapshots(8, 16, 11);
+  const std::vector<std::vector<std::size_t>> splits_by_total[] = {
+      {{24}, {10, 14}, {3, 9, 12}},
+      {{5}, {2, 3}, {1, 2, 2}},
+  };
+  for (const linalg::simd::Backend backend : backends_under_test()) {
+    const ScopedBackend scope(backend);
+    for (const auto& splits : splits_by_total) {
+      std::size_t total = 0;
+      for (const std::size_t c : splits.front()) total += c;
+      const linalg::CMatrix online =
+          fixture_snapshots(8, total, 12, /*gain2=*/0.1);
+
+      DWatchPipeline batch(arrays, bounds);
+      batch.set_calibration(0, offsets);
+      batch.add_baseline(0, epc, baseline);
+      batch.begin_epoch();
+      batch.observe(0, epc, online);
+      const std::vector<PathDrop>& want = batch.evidence()[0].drops;
+      if (total >= DegradedModeOptions{}.min_snapshots) {
+        ASSERT_FALSE(want.empty()) << "the blocked path must show a drop";
+      }
+
+      for (const std::vector<std::size_t>& split : splits) {
+        PipelineOptions stream_options;
+        stream_options.streaming.enabled = true;
+        DWatchPipeline stream(arrays, bounds, stream_options);
+        stream.set_calibration(0, offsets);
+        stream.add_baseline(0, epc, baseline);
+        stream.begin_epoch();
+        std::size_t col = 0;
+        for (const std::size_t c : split) {
+          stream.observe(0, epc, online.block(0, col, 8, c));
+          col += c;
+        }
+        const std::vector<PathDrop>& got = stream.evidence()[0].drops;
+        const std::string where =
+            std::string(linalg::simd::backend_name(backend)) + ", " +
+            std::to_string(total) + " columns in " +
+            std::to_string(split.size()) + " reports";
+        ASSERT_EQ(got.size(), want.size()) << where;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].theta, want[i].theta) << where;
+          EXPECT_EQ(got[i].drop_fraction, want[i].drop_fraction) << where;
+          EXPECT_EQ(got[i].baseline_power, want[i].baseline_power) << where;
+          EXPECT_EQ(got[i].online_power, want[i].online_power) << where;
+          EXPECT_EQ(got[i].sigma_scale, want[i].sigma_scale) << where;
+          EXPECT_EQ(got[i].source_id, want[i].source_id) << where;
+        }
+      }
     }
   }
-}
-
-TEST(SubspaceTracker, StationarySequenceTracksWarm) {
-  // Feeding the SAME matrix again and again: after the initial dense
-  // reset the basis is exact, every warm refinement has ~machine-level
-  // Ritz residual, and no further resets happen.
-  const linalg::CMatrix r =
-      forward_backward_smooth(sample_correlation(fixture_snapshots(8, 16, 4)),
-                              default_subarray(8));
-  SubspaceTracker tracker{SubspaceTrackerOptions{}};
-  for (int t = 0; t < 10; ++t) (void)tracker.update(r);
-  EXPECT_EQ(tracker.updates(), 10u);
-  EXPECT_EQ(tracker.resets(), 1u);  // only the cold start
-}
-
-TEST(SubspaceTracker, GoldenTrackedSpectrumMatchesDenseBatch) {
-  // The bounded-divergence contract on a slowly evolving golden scene:
-  // the full tracked P-MUSIC spectrum stays within 1e-6 RELATIVE of the
-  // dense batch spectrum at every grid point of every epoch — either
-  // the warm refinement is that tight, or the tracker resets and IS the
-  // dense result.
-  const std::size_t m = 8;
-  const std::size_t l = default_subarray(m);
-  const MusicEstimator music(kSpacing, kLambda, MusicOptions{});
-  SubspaceTracker tracker{SubspaceTrackerOptions{}};
-  for (int t = 0; t < 8; ++t) {
-    const double gain2 = 0.45 - 0.04 * static_cast<double>(t);
-    const linalg::CMatrix x =
-        fixture_snapshots(m, 16, 100 + static_cast<std::uint64_t>(t), gain2);
-    const linalg::CMatrix r = sample_correlation(x);
-    const linalg::CMatrix smoothed = forward_backward_smooth(r, l);
-    (void)tracker.update(smoothed);
-
-    const MusicResult dense = music.estimate_from_correlation(r, x.cols());
-    const MusicResult tracked = music.estimate_from_subspace(
-        tracker.subspace(), tracker.eigenvalues(), tracker.trace(), x.cols());
-    ASSERT_EQ(tracked.num_sources, dense.num_sources) << "epoch " << t;
-    EXPECT_LE(max_relative_error(tracked.spectrum, dense.spectrum), 1e-6)
-        << "epoch " << t;
-  }
-}
-
-TEST(SubspaceTracker, DivergenceInjectionResetsAndRestoresParity) {
-  const std::size_t m = 8;
-  const std::size_t l = default_subarray(m);
-  const MusicEstimator music(kSpacing, kLambda, MusicOptions{});
-  SubspaceTracker tracker{SubspaceTrackerOptions{}};
-  const linalg::CMatrix r = sample_correlation(fixture_snapshots(m, 16, 7));
-  const linalg::CMatrix smoothed = forward_backward_smooth(r, l);
-  for (int t = 0; t < 3; ++t) (void)tracker.update(smoothed);
-  const std::size_t resets_before = tracker.resets();
-
-  // Seeded divergence: invalidate() models a corrupted basis (the same
-  // hook restore() uses). The very next update must fall back to the
-  // dense oracle and restore EXACT parity.
-  tracker.invalidate();
-  const SubspaceUpdateResult upd = tracker.update(smoothed);
-  EXPECT_TRUE(upd.reset);
-  EXPECT_EQ(tracker.resets(), resets_before + 1);
-
-  const MusicResult dense = music.estimate_from_correlation(r, 16);
-  const MusicResult tracked = music.estimate_from_subspace(
-      tracker.subspace(), tracker.eigenvalues(), tracker.trace(), 16);
-  ASSERT_EQ(tracked.num_sources, dense.num_sources);
-  EXPECT_LE(max_relative_error(tracked.spectrum, dense.spectrum), 1e-6);
-
-  // A hard scene change (different angles entirely) must ALSO stay
-  // within contract: the stale basis either refines to tolerance or
-  // triggers an automatic reset — never a silently wrong spectrum.
-  Lcg lcg(99);
-  linalg::CMatrix y(m, 16);
-  for (std::size_t n = 0; n < 16; ++n) {
-    const double phase = rf::kTwoPi * lcg.uniform();
-    for (std::size_t i = 0; i < m; ++i) {
-      const double steer = rf::kTwoPi * kSpacing * static_cast<double>(i) *
-                           std::cos(2.6) / kLambda;
-      y(i, n) = std::polar(1.0, steer + phase) +
-                std::complex<double>(1e-3 * (lcg.uniform() - 0.5),
-                                     1e-3 * (lcg.uniform() - 0.5));
-    }
-  }
-  const linalg::CMatrix r2 = sample_correlation(y);
-  (void)tracker.update(forward_backward_smooth(r2, l));
-  const MusicResult dense2 = music.estimate_from_correlation(r2, 16);
-  const MusicResult tracked2 = music.estimate_from_subspace(
-      tracker.subspace(), tracker.eigenvalues(), tracker.trace(), 16);
-  ASSERT_EQ(tracked2.num_sources, dense2.num_sources);
-  EXPECT_LE(max_relative_error(tracked2.spectrum, dense2.spectrum), 1e-6);
 }
 
 }  // namespace

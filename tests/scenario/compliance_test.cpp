@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
@@ -28,12 +27,6 @@ std::string describe(const ScenarioResult& r) {
 // itself: gtest prints the parameter into each listed test name, and a
 // ScenarioSpec prints as a raw byte dump whose heap pointers change from
 // one process to the next, so ctest's discovered names would too.
-std::vector<std::string> scenario_names() {
-  std::vector<std::string> names;
-  for (const ScenarioSpec& spec : all_scenarios()) names.push_back(spec.name);
-  return names;
-}
-
 class ScenarioCompliance : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ScenarioCompliance, PassesItsBudget) {
