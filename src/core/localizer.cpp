@@ -3,11 +3,25 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
 
 namespace dwatch::core {
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Candidates closer than this to an array centre are degenerate.
+constexpr double kMinArrayDistance = 0.25;
+/// Widening of a term's bearing window: relative on the cutoff radius,
+/// absolute on the angle and on its cosine. Each dwarfs the few-ulp
+/// rounding of sqrt, cos, acos and the skip test it has to cover.
+constexpr double kWindowRelMargin = 1e-6;
+constexpr double kWindowAbsMargin = 1e-9;
+
+}  // namespace
 
 bool Localizer::candidate_order(const LocationEstimate& a,
                                 const LocationEstimate& b) noexcept {
@@ -42,6 +56,16 @@ Localizer::Localizer(std::vector<rf::UniformLinearArray> arrays,
     throw std::invalid_argument("Localizer: bad step/sigma");
   }
   inv_2s2_ = 1.0 / (2.0 * options_.kernel_sigma * options_.kernel_sigma);
+  // epsilon + e rounds to epsilon for every e in [0, h), h half the gap
+  // to the next larger double. A term is skipped only when it is below
+  // h / 8; the factor 8 covers the rounding of exp, log and the product.
+  const double eps = options_.epsilon;
+  const double next = std::nextafter(eps, kInf);
+  const double floor = (next - eps) / 2.0 / 8.0;
+  if (std::isfinite(eps) && std::isfinite(next) &&
+      floor >= std::numeric_limits<double>::min()) {
+    log_floor_ = std::log(floor);
+  }
 }
 
 double Localizer::effective_grid_step() const noexcept {
@@ -66,29 +90,131 @@ double Localizer::global_drop_norm(
   return norm;
 }
 
-double Localizer::evidence_at(const AngularEvidence& evidence, double theta,
-                              double norm) const {
-  if (norm <= 0.0) return 0.0;
-  const double inv_2s2 = inv_2s2_;
+Localizer::ArrayKernel Localizer::prepare_array(
+    const AngularEvidence& evidence, double norm, double log_floor) const {
+  ArrayKernel k;
+  k.usable = evidence.usable();
+  k.terms.reserve(evidence.drops.size());
+  for (const PathDrop& d : evidence.drops) {
+    KernelTerm t;
+    t.theta = d.theta;
+    // sigma_scale > 1 widens the kernel of a low-confidence drop
+    // (degraded snapshot count); the division by 1.0 on the clean path
+    // is exact, so healthy runs are bit-identical.
+    t.inv = inv_2s2_ / (d.sigma_scale * d.sigma_scale);
+    // A non-positive norm means no evidence at all (weight stays 0).
+    if (!(norm <= 0.0)) {
+      const double power_drop =
+          std::max(d.baseline_power - d.online_power, 0.0);
+      t.weight = std::pow(power_drop / norm, options_.power_exponent);
+    }
+    k.terms.push_back(t);
+  }
+  // A term of weight NaN, 0 or below is NaN or <= 0 at every bearing and
+  // can never raise the evidence above its initial 0.
+  const auto first_unweighted = std::stable_partition(
+      k.terms.begin(), k.terms.end(),
+      [](const KernelTerm& t) { return t.weight > 0.0; });
+  std::stable_sort(k.terms.begin(), first_unweighted,
+                   [](const KernelTerm& a, const KernelTerm& b) {
+                     return a.weight > b.weight;
+                   });
+  k.weighted = static_cast<std::size_t>(first_unweighted - k.terms.begin());
+
+  std::vector<CosineWindow> windows;
+  for (std::size_t i = 0; i < k.weighted; ++i) {
+    KernelTerm& t = k.terms[i];
+    CosineWindow window{-kInf, kInf};
+    // The cutoff argument needs weight <= 1 (always so with the global
+    // norm and a non-negative exponent); heavier terms are never skipped.
+    if (t.weight <= 1.0) {
+      const double margin = std::log(t.weight) - log_floor;
+      if (margin <= 0.0) {
+        t.cutoff = kInf;  // weight itself is below the floor
+        continue;
+      }
+      t.cutoff = -margin;
+      // The term is skipped when delta^2 * inv > margin, i.e. outside
+      // theta +/- r. Map that interval, widened, into cosine space. The
+      // margins only cover rounding where r, margin and inv are finite
+      // normals and theta is near [0, pi]; elsewhere the window is all.
+      const double r = std::sqrt(margin / t.inv);
+      if (std::isfinite(r) && margin >= std::numeric_limits<double>::min() &&
+          t.inv >= std::numeric_limits<double>::min() &&
+          std::abs(t.theta) <= rf::kTwoPi) {
+        const double reach = r * (1.0 + kWindowRelMargin) + kWindowAbsMargin;
+        const double lo_theta = t.theta - reach;
+        const double hi_theta = t.theta + reach;
+        // acos is decreasing with slope magnitude >= 1, so a cosine
+        // kWindowAbsMargin beyond cos(bound) is a bearing beyond bound.
+        if (lo_theta > 0.0) window.hi = std::cos(lo_theta) + kWindowAbsMargin;
+        if (hi_theta < rf::kPi) {
+          window.lo = std::cos(hi_theta) - kWindowAbsMargin;
+        }
+      }
+    }
+    windows.push_back(window);
+  }
+  std::sort(windows.begin(), windows.end(),
+            [](const CosineWindow& a, const CosineWindow& b) {
+              return a.lo < b.lo;
+            });
+  for (const CosineWindow& w : windows) {
+    if (!k.windows.empty() && w.lo <= k.windows.back().hi) {
+      k.windows.back().hi = std::max(k.windows.back().hi, w.hi);
+    } else {
+      k.windows.push_back(w);
+    }
+  }
+  return k;
+}
+
+Localizer::Kernel Localizer::prepare(std::span<const AngularEvidence> evidence,
+                                     double norm) const {
+  if (evidence.size() != arrays_.size()) {
+    throw std::invalid_argument("Localizer: evidence count mismatch");
+  }
+  Kernel kernel;
+  kernel.arrays.resize(arrays_.size());
+  for (std::size_t i = 0; i < arrays_.size(); ++i) {
+    if (evidence[i].usable()) {
+      kernel.arrays[i] = prepare_array(evidence[i], norm, log_floor_);
+    }
+  }
+  return kernel;
+}
+
+double Localizer::ArrayKernel::evidence(double theta) const {
   // MAX-combine across drops: several drops at one bearing are usually
   // one physical blockage seen through several tags' spectra (or one
   // reflector's ghost), so they must not pile up additively — otherwise
   // a cluster of weak reflection-path ghosts outvotes one honest
   // direct-path drop.
   double best = 0.0;
-  for (const PathDrop& d : evidence.drops) {
-    const double delta = theta - d.theta;
-    const double power_drop =
-        std::max(d.baseline_power - d.online_power, 0.0);
-    const double weight =
-        std::pow(power_drop / norm, options_.power_exponent);
-    // sigma_scale > 1 widens the kernel of a low-confidence drop
-    // (degraded snapshot count); the division by 1.0 on the clean path
-    // is exact, so healthy runs are bit-identical.
-    const double inv = inv_2s2 / (d.sigma_scale * d.sigma_scale);
-    best = std::max(best, weight * std::exp(-delta * delta * inv));
+  for (std::size_t i = 0; i < weighted; ++i) {
+    const KernelTerm& t = terms[i];
+    // Weight-descending and exp(-x) <= 1 for x >= 0: no term from here
+    // on can exceed best.
+    if (t.weight <= best) break;
+    const double delta = theta - t.theta;
+    const double arg = -delta * delta * t.inv;
+    if (arg < t.cutoff) continue;
+    best = std::max(best, t.weight * std::exp(arg));
   }
   return best;
+}
+
+double Localizer::ArrayKernel::evidence_at_cosine(double cosine) const {
+  for (const CosineWindow& w : windows) {
+    if (cosine < w.lo) break;
+    if (cosine <= w.hi) return evidence(std::acos(cosine));
+  }
+  return 0.0;
+}
+
+double Localizer::evidence_at(const AngularEvidence& evidence, double theta,
+                              double norm) const {
+  return prepare_array(evidence, norm, -kInf).evidence(theta);
 }
 
 std::size_t Localizer::arrays_with_evidence(
@@ -121,9 +247,30 @@ bool Localizer::too_close_to_array(rf::Vec2 point) const {
   // (its bearing is undefined, every evidence kernel matches something)
   // and physically impossible for a target.
   for (const auto& a : arrays_) {
-    if (rf::distance(point, a.center().xy()) < 0.25) return true;
+    const rf::Vec2 c = a.center().xy();
+    // sqrt(dx^2 + dy^2) >= max(|dx|, |dy|) also in IEEE arithmetic, so
+    // the distance only needs computing when both legs are short.
+    if (std::abs(point.x - c.x) >= kMinArrayDistance ||
+        std::abs(point.y - c.y) >= kMinArrayDistance) {
+      continue;
+    }
+    if (rf::distance(point, c) < kMinArrayDistance) return true;
   }
   return false;
+}
+
+double Localizer::likelihood(const Kernel& kernel, rf::Vec2 point) const {
+  if (too_close_to_array(point)) return 0.0;
+  double l = 1.0;
+  for (std::size_t i = 0; i < arrays_.size(); ++i) {
+    // Silent reader: no information. Excluded reader: flagged unusable
+    // (degraded mode) — also contributes nothing.
+    const ArrayKernel& a = kernel.arrays[i];
+    if (!a.usable) continue;
+    l *= options_.epsilon +
+         a.evidence_at_cosine(arrays_[i].arrival_cosine_planar(point));
+  }
+  return l;
 }
 
 double Localizer::likelihood_at(
@@ -134,40 +281,25 @@ double Localizer::likelihood_at(
 double Localizer::likelihood_at(rf::Vec2 point,
                                 std::span<const AngularEvidence> evidence,
                                 double norm) const {
-  if (evidence.size() != arrays_.size()) {
-    throw std::invalid_argument("likelihood_at: evidence count mismatch");
-  }
-  if (too_close_to_array(point)) return 0.0;
-  double l = 1.0;
-  for (std::size_t i = 0; i < arrays_.size(); ++i) {
-    // Silent reader: no information. Excluded reader: flagged unusable
-    // (degraded mode) — also contributes nothing.
-    if (!evidence[i].usable()) continue;
-    const double theta = arrays_[i].arrival_angle_planar(point);
-    l *= options_.epsilon + evidence_at(evidence[i], theta, norm);
-  }
-  return l;
+  return likelihood(prepare(evidence, norm), point);
 }
 
 std::size_t Localizer::consensus_at(rf::Vec2 point,
-                                    std::span<const AngularEvidence> evidence,
-                                    double norm) const {
-  (void)norm;
+                                    const Kernel& kernel) const {
   // Consensus is about ANGULAR agreement, not power: an array supports a
   // candidate iff one of its drops points at it (kernel proximity),
   // whatever that drop's strength. Power weighting then ranks candidates
   // WITHIN a consensus level via the likelihood.
-  const double inv_2s2 = inv_2s2_;
   if (too_close_to_array(point)) return 0;
   std::size_t n = 0;
   for (std::size_t i = 0; i < arrays_.size(); ++i) {
-    if (!evidence[i].usable()) continue;
+    const ArrayKernel& a = kernel.arrays[i];
+    if (!a.usable) continue;
     const double theta = arrays_[i].arrival_angle_planar(point);
     double best = 0.0;
-    for (const PathDrop& d : evidence[i].drops) {
-      const double delta = theta - d.theta;
-      const double inv = inv_2s2 / (d.sigma_scale * d.sigma_scale);
-      best = std::max(best, std::exp(-delta * delta * inv));
+    for (const KernelTerm& t : a.terms) {
+      const double delta = theta - t.theta;
+      best = std::max(best, std::exp(-delta * delta * t.inv));
     }
     if (best >= options_.consensus_floor) ++n;
   }
@@ -175,8 +307,8 @@ std::size_t Localizer::consensus_at(rf::Vec2 point,
 }
 
 std::vector<LocationEstimate> Localizer::grid_candidates(
-    std::span<const AngularEvidence> evidence) const {
-  const LikelihoodGrid grid = likelihood_grid(evidence);
+    const Kernel& kernel) const {
+  const LikelihoodGrid grid = likelihood_grid(kernel);
   std::vector<LocationEstimate> candidates;
   for (std::size_t iy = 0; iy < grid.ny; ++iy) {
     for (std::size_t ix = 0; ix < grid.nx; ++ix) {
@@ -209,7 +341,7 @@ std::vector<LocationEstimate> Localizer::grid_candidates(
 }
 
 std::vector<LocationEstimate> Localizer::hill_climb_candidates(
-    std::span<const AngularEvidence> evidence, double norm) const {
+    const Kernel& kernel) const {
   DWATCH_SPAN("localize.hill_climb");
   // Multi-start: coarse seed lattice, then 8-neighbour ascent on the
   // fine grid (the paper's hill climbing). Produces one candidate per
@@ -230,7 +362,7 @@ std::vector<LocationEstimate> Localizer::hill_climb_candidates(
           bounds_.min.y + (bounds_.max.y - bounds_.min.y) *
                               (static_cast<double>(sy) + 0.5) /
                               static_cast<double>(per_side)};
-      double l = likelihood_at(p, evidence, norm);
+      double l = likelihood(kernel, p);
       bool moved = true;
       while (moved) {
         moved = false;
@@ -239,7 +371,7 @@ std::vector<LocationEstimate> Localizer::hill_climb_candidates(
             if (dx == 0 && dy == 0) continue;
             const rf::Vec2 q{p.x + dx * step, p.y + dy * step};
             if (!bounds_.contains(q)) continue;
-            const double lq = likelihood_at(q, evidence, norm);
+            const double lq = likelihood(kernel, q);
             if (lq > l) {
               l = lq;
               p = q;
@@ -260,9 +392,22 @@ std::vector<LocationEstimate> Localizer::hill_climb_candidates(
   return candidates;
 }
 
+std::vector<LocationEstimate> Localizer::search_candidates(
+    const Kernel& kernel) const {
+  return options_.hill_climbing ? hill_climb_candidates(kernel)
+                                : grid_candidates(kernel);
+}
+
 LocationEstimate Localizer::consensus_select(
     std::vector<LocationEstimate> candidates,
     std::span<const AngularEvidence> evidence, double norm,
+    std::size_t min_arrays) const {
+  return consensus_select(std::move(candidates), prepare(evidence, norm),
+                          min_arrays);
+}
+
+LocationEstimate Localizer::consensus_select(
+    std::vector<LocationEstimate> candidates, const Kernel& kernel,
     std::size_t min_arrays) const {
   // Rank by the total order BEFORE the cap: which 24 get scored must
   // not depend on the order restarts (or a caller) produced them in.
@@ -271,7 +416,7 @@ LocationEstimate Localizer::consensus_select(
   const std::size_t limit = std::min(candidates.size(), kMaxCandidates);
   for (std::size_t i = 0; i < limit; ++i) {
     LocationEstimate c = candidates[i];
-    c.consensus = consensus_at(c.position, evidence, norm);
+    c.consensus = consensus_at(c.position, kernel);
     // Scanning in candidate_order means the first candidate at any
     // consensus level is already the best-ranked one — a strict
     // consensus improvement is the only reason to switch.
@@ -294,10 +439,8 @@ LocationEstimate Localizer::localize(
   if (arrays_with_evidence(evidence) < min_arrays) {
     return LocationEstimate{};  // not covered
   }
-  const double norm = global_drop_norm(evidence);
-  std::vector<LocationEstimate> candidates =
-      options_.hill_climbing ? hill_climb_candidates(evidence, norm)
-                             : grid_candidates(evidence);
+  const Kernel kernel = prepare(evidence, global_drop_norm(evidence));
+  std::vector<LocationEstimate> candidates = search_candidates(kernel);
   // Both producers promise candidate_order() — consensus_select would
   // mask a violation by re-sorting, so check the contract here.
   assert(std::is_sorted(candidates.begin(), candidates.end(),
@@ -306,7 +449,7 @@ LocationEstimate Localizer::localize(
   // Consensus selection (outlier rejection): among the likelihood peaks,
   // prefer the one the most arrays genuinely point at; candidates backed
   // by fewer than min_arrays arrays are not a valid fix at all.
-  return consensus_select(std::move(candidates), evidence, norm, min_arrays);
+  return consensus_select(std::move(candidates), kernel, min_arrays);
 }
 
 LocationEstimate Localizer::localize_best_effort(
@@ -319,14 +462,12 @@ LocationEstimate Localizer::localize_best_effort(
   // hill-climbing deployment must not silently pay for — and answer
   // from — an exhaustive grid), and selected by an explicit max scan
   // rather than trusting the list head.
-  const double norm = global_drop_norm(evidence);
-  const std::vector<LocationEstimate> candidates =
-      options_.hill_climbing ? hill_climb_candidates(evidence, norm)
-                             : grid_candidates(evidence);
-  const LocationEstimate top = select_max_likelihood(candidates);
+  const Kernel kernel = prepare(evidence, global_drop_norm(evidence));
+  const LocationEstimate top =
+      select_max_likelihood(search_candidates(kernel));
   if (top.likelihood > 0.0) {
     LocationEstimate best = top;
-    best.consensus = consensus_at(best.position, evidence, norm);
+    best.consensus = consensus_at(best.position, kernel);
     best.valid = false;
     return best;
   }
@@ -341,8 +482,8 @@ std::vector<LocationEstimate> Localizer::localize_multi(
   if (max_targets == 0 || arrays_with_evidence(evidence) < min_arrays) {
     return out;
   }
-  const double norm = global_drop_norm(evidence);
-  std::vector<LocationEstimate> candidates = grid_candidates(evidence);
+  const Kernel kernel = prepare(evidence, global_drop_norm(evidence));
+  std::vector<LocationEstimate> candidates = grid_candidates(kernel);
   if (candidates.empty()) return out;
 
   const double floor = candidates.front().likelihood * relative_floor;
@@ -353,7 +494,7 @@ std::vector<LocationEstimate> Localizer::localize_multi(
           return rf::distance(e.position, c.position) < min_separation;
         });
     if (clash) continue;
-    c.consensus = consensus_at(c.position, evidence, norm);
+    c.consensus = consensus_at(c.position, kernel);
     if (c.consensus < min_arrays) continue;
     c.valid = true;
     out.push_back(c);
@@ -364,6 +505,10 @@ std::vector<LocationEstimate> Localizer::localize_multi(
 
 LikelihoodGrid Localizer::likelihood_grid(
     std::span<const AngularEvidence> evidence) const {
+  return likelihood_grid(prepare(evidence, global_drop_norm(evidence)));
+}
+
+LikelihoodGrid Localizer::likelihood_grid(const Kernel& kernel) const {
   DWATCH_SPAN("localize.grid");
   LikelihoodGrid grid;
   grid.origin = bounds_.min;
@@ -375,24 +520,12 @@ LikelihoodGrid Localizer::likelihood_grid(
                 std::floor((bounds_.max.y - bounds_.min.y) / grid.step)) +
             1;
   grid.values.resize(grid.nx * grid.ny);
-  const double norm = global_drop_norm(evidence);
   // Each row writes only its own disjoint slice of grid.values and reads
   // shared state read-only, so the parallel and serial paths produce
   // bit-identical grids.
   const auto fill_row = [&](std::size_t iy) {
     for (std::size_t ix = 0; ix < grid.nx; ++ix) {
-      const rf::Vec2 p = grid.point(ix, iy);
-      if (too_close_to_array(p)) {
-        grid.values[iy * grid.nx + ix] = 0.0;
-        continue;
-      }
-      double l = 1.0;
-      for (std::size_t i = 0; i < arrays_.size(); ++i) {
-        if (!evidence[i].usable()) continue;
-        const double theta = arrays_[i].arrival_angle_planar(p);
-        l *= options_.epsilon + evidence_at(evidence[i], theta, norm);
-      }
-      grid.values[iy * grid.nx + ix] = l;
+      grid.values[iy * grid.nx + ix] = likelihood(kernel, grid.point(ix, iy));
     }
   };
   if (pool_ && pool_->num_workers() > 1) {

@@ -10,9 +10,17 @@
 // pre-reflection blockage simply fail to accumulate consensus across
 // readers; an explicit ray-triangulation outlier rejector is provided in
 // triangulate.hpp for the paper's single-target argument.
+//
+// Every search probes one evidence kernel prepared once from the
+// evidence: drop weights and kernel inverses computed once, drops
+// ordered by weight, per-drop bearing windows in cosine space. A probe
+// pays exp only for drops that can change its factor and acos only when
+// a window matches. The pruning is exact: every likelihood equals the
+// direct formula bit for bit (DESIGN.md §7).
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -132,13 +140,12 @@ class Localizer {
 
   /// L(O) for a candidate point (evidence indexed like the arrays;
   /// throws std::invalid_argument on count mismatch). Recomputes the
-  /// global drop norm; search loops use the `norm` overload below so the
-  /// O(total drops) scan runs once per search, not once per probe.
+  /// global drop norm and prepares a kernel per call; the searches
+  /// prepare theirs once.
   [[nodiscard]] double likelihood_at(
       rf::Vec2 point, std::span<const AngularEvidence> evidence) const;
 
-  /// L(O) with the global drop norm already computed (the hot-path
-  /// variant probed by hill climbing and grid search).
+  /// L(O) with the global drop norm already computed.
   [[nodiscard]] double likelihood_at(rf::Vec2 point,
                                      std::span<const AngularEvidence> evidence,
                                      double norm) const;
@@ -234,21 +241,78 @@ class Localizer {
   [[nodiscard]] std::size_t effective_min_arrays(
       std::span<const AngularEvidence> evidence) const;
   [[nodiscard]] bool too_close_to_array(rf::Vec2 point) const;
+
+  /// One drop as the kernel sees it: the per-drop factors of
+  /// evidence_at(), computed once per search.
+  struct KernelTerm {
+    double theta = 0.0;
+    double weight = 0.0;  ///< pow(max(drop, 0) / norm, power_exponent)
+    double inv = 0.0;     ///< inv_2s2_ / sigma_scale^2
+    /// The probe skips this term when -delta^2 * inv < cutoff: the term
+    /// is then below 1/8 of half an ulp of epsilon and cannot change
+    /// epsilon + evidence. -inf = never skipped, +inf = always skipped.
+    double cutoff = -std::numeric_limits<double>::infinity();
+  };
+  /// Cosine interval outside of which every term of an array is skipped.
+  struct CosineWindow {
+    double lo = 0.0;
+    double hi = 0.0;
+  };
+  /// One array's prepared evidence.
+  struct ArrayKernel {
+    bool usable = false;
+    /// Every drop, weight-descending; NaN and non-positive weights last.
+    std::vector<KernelTerm> terms;
+    /// terms[0, weighted) have weight > 0 — the only ones that can
+    /// raise the evidence above its initial 0.
+    std::size_t weighted = 0;
+    /// Sorted, disjoint; the union of the weighted terms' windows.
+    std::vector<CosineWindow> windows;
+
+    /// max_k weight_k * exp(-delta_k^2 * inv_k), skipping the terms
+    /// whose cutoff says they cannot matter.
+    [[nodiscard]] double evidence(double theta) const;
+    /// evidence(acos(cosine)), or 0 without the acos when `cosine`
+    /// lies in no window (every term would be skipped).
+    [[nodiscard]] double evidence_at_cosine(double cosine) const;
+  };
+  /// The evidence kernel of one search, indexed like arrays_.
+  struct Kernel {
+    std::vector<ArrayKernel> arrays;
+  };
+  /// Prepare one array's terms. `log_floor` is ln of the level below
+  /// which a term cannot change epsilon + evidence; -inf disables
+  /// the cutoff (exact evidence values).
+  [[nodiscard]] ArrayKernel prepare_array(const AngularEvidence& evidence,
+                                          double norm,
+                                          double log_floor) const;
+  /// Prepare every array with the ulp cutoff of options().epsilon.
+  [[nodiscard]] Kernel prepare(std::span<const AngularEvidence> evidence,
+                               double norm) const;
+  /// L(O) from a prepared kernel; bit-identical to Eq. 15 evaluated
+  /// directly.
+  [[nodiscard]] double likelihood(const Kernel& kernel, rf::Vec2 point) const;
   /// Number of arrays whose evidence at `point`'s bearing clears the
-  /// consensus floor.
-  [[nodiscard]] std::size_t consensus_at(
-      rf::Vec2 point, std::span<const AngularEvidence> evidence,
-      double norm) const;
+  /// consensus floor (unweighted: any drop's kernel counts).
+  [[nodiscard]] std::size_t consensus_at(rf::Vec2 point,
+                                         const Kernel& kernel) const;
+  [[nodiscard]] LocationEstimate consensus_select(
+      std::vector<LocationEstimate> candidates, const Kernel& kernel,
+      std::size_t min_arrays) const;
+  [[nodiscard]] LikelihoodGrid likelihood_grid(const Kernel& kernel) const;
   /// Local maxima of the likelihood grid. Ordering contract (shared
   /// with hill_climb_candidates): the returned list is sorted by
   /// candidate_order() — strictly ranked even through likelihood ties,
   /// so downstream caps and front() reads are deterministic.
   [[nodiscard]] std::vector<LocationEstimate> grid_candidates(
-      std::span<const AngularEvidence> evidence) const;
+      const Kernel& kernel) const;
   /// Multi-start ascent candidates; same candidate_order() contract as
   /// grid_candidates().
   [[nodiscard]] std::vector<LocationEstimate> hill_climb_candidates(
-      std::span<const AngularEvidence> evidence, double norm) const;
+      const Kernel& kernel) const;
+  /// hill_climb_candidates or grid_candidates, as configured.
+  [[nodiscard]] std::vector<LocationEstimate> search_candidates(
+      const Kernel& kernel) const;
 
   std::vector<rf::UniformLinearArray> arrays_;
   SearchBounds bounds_;
@@ -259,6 +323,10 @@ class Localizer {
   /// Precomputed Gaussian kernel reciprocal 1/(2 sigma^2), fixed per
   /// localizer since kernel_sigma is set at construction.
   double inv_2s2_ = 0.0;
+  /// ln(h / 8), h = half the gap from epsilon to the next larger
+  /// double; -inf when that level is not a normal double (then no term
+  /// is ever skipped).
+  double log_floor_ = -std::numeric_limits<double>::infinity();
   std::shared_ptr<ThreadPool> pool_;
 };
 

@@ -59,12 +59,19 @@ Vec3 UniformLinearArray::element_position(std::size_t m_one_based) const {
           center_.z};
 }
 
-double UniformLinearArray::arrival_angle(const Vec3& source) const {
+double UniformLinearArray::arrival_cosine(const Vec3& source) const {
   const Vec3 k = (source - center_).normalized();
   // Reference direction is -axis so that increasing element index moves
   // AWAY from a theta=0 source, matching x_m = s e^{-j omega(m,theta)}.
-  const double c = std::clamp(-(axis_.x * k.x + axis_.y * k.y), -1.0, 1.0);
-  return std::acos(c);
+  return std::clamp(-(axis_.x * k.x + axis_.y * k.y), -1.0, 1.0);
+}
+
+double UniformLinearArray::arrival_cosine_planar(Vec2 source_xy) const {
+  return arrival_cosine(lift(source_xy, center_.z));
+}
+
+double UniformLinearArray::arrival_angle(const Vec3& source) const {
+  return std::acos(arrival_cosine(source));
 }
 
 double UniformLinearArray::arrival_angle_planar(Vec2 source_xy) const {

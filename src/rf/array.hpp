@@ -66,6 +66,13 @@ class UniformLinearArray {
   /// and array are at different heights — paper Fig. 18).
   [[nodiscard]] double arrival_angle_planar(Vec2 source_xy) const;
 
+  /// cos(theta) as passed to acos by arrival_angle (clamped to
+  /// [-1, 1]): arrival_angle(s) == std::acos(arrival_cosine(s)) bit for
+  /// bit. Lets a caller test a bearing against a cosine interval
+  /// without paying for the acos.
+  [[nodiscard]] double arrival_cosine(const Vec3& source) const;
+  [[nodiscard]] double arrival_cosine_planar(Vec2 source_xy) const;
+
   /// a(theta) for this array.
   [[nodiscard]] linalg::CVector steering(double theta) const;
 

@@ -353,8 +353,28 @@ void LocalizationService::note_shed(const PendingEpoch& epoch) {
   if (shed_observer_) shed_observer_(epoch.zone, epoch.seq);
 }
 
-const std::vector<ZoneFix>& LocalizationService::fixes(
-    std::size_t zone) const {
+const ZoneFix& FixLog::back() const {
+  if (total_ == 0) throw std::out_of_range("serve::FixLog: empty");
+  return ring_[(total_ - 1) % kRetained];
+}
+
+const ZoneFix& FixLog::operator[](std::size_t i) const {
+  if (i >= total_ || i < first_retained()) {
+    throw std::out_of_range("serve::FixLog: fix not retained");
+  }
+  return ring_[i % kRetained];
+}
+
+void FixLog::push_back(ZoneFix fix) {
+  if (ring_.size() < kRetained) {
+    ring_.push_back(std::move(fix));
+  } else {
+    ring_[total_ % kRetained] = std::move(fix);
+  }
+  ++total_;
+}
+
+const FixLog& LocalizationService::fixes(std::size_t zone) const {
   (void)registry_.zone(zone);  // validates the zone id
   return fixes_[zone];
 }

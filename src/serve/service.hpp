@@ -27,6 +27,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -74,6 +75,73 @@ struct ZoneFix {
   std::uint64_t ttff_us = 0;
   /// Reports left unprocessed by the early seal (0 on a full epoch).
   std::size_t reports_skipped = 0;
+};
+
+/// A zone's fix log: counts every fix the zone produced and keeps the
+/// latest kRetained of them, so a long-running service holds a constant
+/// amount of fix history per zone (~200 KB) however many epochs it
+/// serves. Indices are global: fix i is the zone's i-th fix ever, and
+/// stays addressable until kRetained newer fixes have evicted it.
+class FixLog {
+ public:
+  static constexpr std::size_t kRetained = 1024;
+
+  /// Forward iterator over the retained fixes, oldest first.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = ZoneFix;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const ZoneFix*;
+    using reference = const ZoneFix&;
+
+    const_iterator() = default;
+    reference operator*() const { return log_->ring_[index_ % kRetained]; }
+    pointer operator->() const { return &**this; }
+    const_iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++index_;
+      return old;
+    }
+    bool operator==(const const_iterator& o) const {
+      return index_ == o.index_;
+    }
+
+   private:
+    friend class FixLog;
+    const_iterator(const FixLog* log, std::size_t index)
+        : log_(log), index_(index) {}
+    const FixLog* log_ = nullptr;
+    std::size_t index_ = 0;
+  };
+
+  /// Every fix produced, retained or evicted.
+  [[nodiscard]] std::size_t size() const noexcept { return total_; }
+  /// Index of the oldest retained fix (0 until the first eviction).
+  [[nodiscard]] std::size_t first_retained() const noexcept {
+    return total_ - ring_.size();
+  }
+  /// The latest fix; throws std::out_of_range when there is none.
+  [[nodiscard]] const ZoneFix& back() const;
+  /// Fix `i` (0 = the zone's first); throws std::out_of_range when `i`
+  /// is evicted or not produced yet.
+  [[nodiscard]] const ZoneFix& operator[](std::size_t i) const;
+  [[nodiscard]] const_iterator begin() const {
+    return {this, first_retained()};
+  }
+  [[nodiscard]] const_iterator end() const { return {this, total_}; }
+
+  void push_back(ZoneFix fix);
+
+ private:
+  /// Fix i lives at ring_[i % kRetained]; grows to kRetained, then
+  /// each push overwrites the oldest slot.
+  std::vector<ZoneFix> ring_;
+  std::size_t total_ = 0;
 };
 
 /// Everything the telemetry plane needs to know about one processed
@@ -239,8 +307,9 @@ class LocalizationService {
     early_fix_observer_ = std::move(observer);
   }
 
-  /// Every fix the zone has produced, in epoch order.
-  [[nodiscard]] const std::vector<ZoneFix>& fixes(std::size_t zone) const;
+  /// The zone's fixes in epoch order: size() counts all of them, the
+  /// latest FixLog::kRetained stay readable.
+  [[nodiscard]] const FixLog& fixes(std::size_t zone) const;
 
   [[nodiscard]] const ZoneServingStats& zone_stats(std::size_t zone) const {
     return registry_.zone(zone).serving_stats();
@@ -272,7 +341,7 @@ class LocalizationService {
   std::vector<std::size_t> open_begins_;
   /// Per-zone completed fixes (each appended only by its own zone's
   /// scheduler task — disjoint writes, no locking needed).
-  std::vector<std::vector<ZoneFix>> fixes_;
+  std::vector<FixLog> fixes_;
 };
 
 }  // namespace dwatch::serve

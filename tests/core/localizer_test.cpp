@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <sstream>
 
 #include "rf/constants.hpp"
 
@@ -343,6 +348,253 @@ TEST(Localizer, GlobalDropNormIsMaxAbsoluteDrop) {
   ev[1].drops.push_back(drop_at(1.5, 0.5));   // drop = 0.475
   EXPECT_NEAR(Localizer::global_drop_norm(ev), 1.9, 1e-12);
   EXPECT_DOUBLE_EQ(Localizer::global_drop_norm({}), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The evidence kernel against the direct per-probe formula of Eq. 15.
+
+/// dOmega_i(theta) evaluated the direct way: every drop's weight, kernel
+/// inverse and exp per probe.
+double direct_evidence(const LocalizerOptions& o, const AngularEvidence& e,
+                       double theta, double norm) {
+  if (norm <= 0.0) return 0.0;
+  const double inv_2s2 = 1.0 / (2.0 * o.kernel_sigma * o.kernel_sigma);
+  double best = 0.0;
+  for (const PathDrop& d : e.drops) {
+    const double delta = theta - d.theta;
+    const double power_drop =
+        std::max(d.baseline_power - d.online_power, 0.0);
+    const double weight = std::pow(power_drop / norm, o.power_exponent);
+    const double inv = inv_2s2 / (d.sigma_scale * d.sigma_scale);
+    best = std::max(best, weight * std::exp(-delta * delta * inv));
+  }
+  return best;
+}
+
+/// L(O) evaluated the direct way (acos per array per probe).
+double direct_likelihood(const std::vector<rf::UniformLinearArray>& arrays,
+                         const LocalizerOptions& o, rf::Vec2 p,
+                         const std::vector<AngularEvidence>& ev) {
+  for (const auto& a : arrays) {
+    if (rf::distance(p, a.center().xy()) < 0.25) return 0.0;
+  }
+  const double norm = Localizer::global_drop_norm(ev);
+  double l = 1.0;
+  for (std::size_t i = 0; i < arrays.size(); ++i) {
+    if (!ev[i].usable()) continue;
+    const double theta = arrays[i].arrival_angle_planar(p);
+    l *= o.epsilon + direct_evidence(o, ev[i], theta, norm);
+  }
+  return l;
+}
+
+/// Consensus count evaluated the direct way.
+std::size_t direct_consensus(const std::vector<rf::UniformLinearArray>& arrays,
+                             const LocalizerOptions& o, rf::Vec2 p,
+                             const std::vector<AngularEvidence>& ev) {
+  for (const auto& a : arrays) {
+    if (rf::distance(p, a.center().xy()) < 0.25) return 0;
+  }
+  const double inv_2s2 = 1.0 / (2.0 * o.kernel_sigma * o.kernel_sigma);
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < arrays.size(); ++i) {
+    if (!ev[i].usable()) continue;
+    const double theta = arrays[i].arrival_angle_planar(p);
+    double best = 0.0;
+    for (const PathDrop& d : ev[i].drops) {
+      const double delta = theta - d.theta;
+      const double inv = inv_2s2 / (d.sigma_scale * d.sigma_scale);
+      best = std::max(best, std::exp(-delta * delta * inv));
+    }
+    if (best >= o.consensus_floor) ++n;
+  }
+  return n;
+}
+
+/// Counts values whose bits differ and remembers the first one.
+struct BitCompare {
+  std::size_t compared = 0;
+  std::size_t mismatches = 0;
+  std::string first;
+
+  void check(double got, double want, const std::string& where) {
+    ++compared;
+    if (std::bit_cast<std::uint64_t>(got) ==
+        std::bit_cast<std::uint64_t>(want)) {
+      return;
+    }
+    if (mismatches++ == 0) {
+      std::ostringstream os;
+      os.precision(17);
+      os << where << ": kernel " << got << " vs direct " << want;
+      first = os.str();
+    }
+  }
+};
+
+/// Random evidence exercising every special case of the kernel: NaN and
+/// zero power drops, widened kernels, a drop too weak to ever matter,
+/// empty arrays and an excluded array holding the largest drop.
+std::vector<AngularEvidence> random_evidence(std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<AngularEvidence> ev(4);
+  for (AngularEvidence& e : ev) {
+    const std::size_t n = rng() % 6;
+    for (std::size_t k = 0; k < n; ++k) {
+      PathDrop d = drop_at(rf::kPi * unit(rng), 0.1 + 4.0 * unit(rng));
+      // Up to 1.2x the baseline: some drops are power gains (weight 0).
+      d.online_power = d.baseline_power * 1.2 * unit(rng);
+      if (unit(rng) < 0.4) d.sigma_scale = 1.0 + 2.0 * unit(rng);
+      const double kind = unit(rng);
+      if (kind < 0.1) {
+        d.baseline_power = std::numeric_limits<double>::quiet_NaN();
+      } else if (kind < 0.2) {
+        d.online_power = d.baseline_power;  // zero power drop
+      } else if (kind < 0.3) {
+        d.baseline_power = 1e-19;  // below epsilon's ulp at any bearing
+        d.online_power = 0.0;
+      }
+      e.drops.push_back(d);
+    }
+  }
+  if (rng() % 2 == 0) {
+    AngularEvidence& dead = ev[rng() % ev.size()];
+    dead.excluded = true;
+    dead.drops.push_back(drop_at(rf::kPi * unit(rng), 1e6));
+  }
+  return ev;
+}
+
+TEST(Localizer, KernelMatchesDirectFormulaBitForBit) {
+  const auto arrays = room_arrays();
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (const double epsilon : {0.12, 0.0}) {
+    for (const double exponent : {1.0, 0.5}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        std::mt19937_64 rng(seed);
+        const auto ev = random_evidence(rng);
+        const double norm = Localizer::global_drop_norm(ev);
+        LocalizerOptions opts;
+        opts.epsilon = epsilon;
+        opts.power_exponent = exponent;
+        const std::string label = "eps " + std::to_string(epsilon) +
+                                  " exp " + std::to_string(exponent) +
+                                  " seed " + std::to_string(seed);
+        BitCompare cmp;
+
+        for (const std::size_t stride : {1u, 2u}) {
+          Localizer loc(arrays, room_bounds(), opts);
+          loc.set_grid_stride(stride);
+          const LikelihoodGrid grid = loc.likelihood_grid(ev);
+          for (std::size_t iy = 0; iy < grid.ny; ++iy) {
+            for (std::size_t ix = 0; ix < grid.nx; ++ix) {
+              cmp.check(grid.at(ix, iy),
+                        direct_likelihood(arrays, opts, grid.point(ix, iy), ev),
+                        label + " grid");
+            }
+          }
+        }
+
+        LocalizerOptions climb = opts;
+        climb.hill_climbing = true;
+        const Localizer loc(arrays, room_bounds(), climb);
+        // The hill climber's probes: its seed lattice, one fine step
+        // around each seed, and arbitrary off-lattice points.
+        const double step = loc.effective_grid_step();
+        for (std::size_t sy = 0; sy < 4; ++sy) {
+          for (std::size_t sx = 0; sx < 4; ++sx) {
+            const rf::Vec2 seed_point{7.0 * (static_cast<double>(sx) + 0.5) / 4,
+                                      10.0 * (static_cast<double>(sy) + 0.5) /
+                                          4};
+            for (int dy = -1; dy <= 1; ++dy) {
+              for (int dx = -1; dx <= 1; ++dx) {
+                const rf::Vec2 q{seed_point.x + dx * step,
+                                 seed_point.y + dy * step};
+                cmp.check(loc.likelihood_at(q, ev, norm),
+                          direct_likelihood(arrays, climb, q, ev),
+                          label + " climb probe");
+              }
+            }
+          }
+        }
+        for (int k = 0; k < 500; ++k) {
+          const rf::Vec2 q{7.0 * unit(rng), 10.0 * unit(rng)};
+          cmp.check(loc.likelihood_at(q, ev, norm),
+                    direct_likelihood(arrays, climb, q, ev),
+                    label + " probe");
+        }
+        const LocationEstimate climbed = loc.localize_best_effort(ev);
+        if (climbed.likelihood > 0.0) {
+          cmp.check(climbed.likelihood,
+                    direct_likelihood(arrays, climb, climbed.position, ev),
+                    label + " climbed fix");
+          EXPECT_EQ(climbed.consensus,
+                    direct_consensus(arrays, climb, climbed.position, ev))
+              << label;
+        }
+
+        // evidence_at is the raw evidence (no epsilon, no cutoff), for
+        // every array including excluded ones, at any bearing.
+        for (const AngularEvidence& e : ev) {
+          for (int k = 0; k <= 360; ++k) {
+            const double theta = rf::kPi * k / 360.0;
+            cmp.check(loc.evidence_at(e, theta, norm),
+                      direct_evidence(climb, e, theta, norm),
+                      label + " evidence_at");
+          }
+        }
+
+        EXPECT_EQ(cmp.mismatches, 0u)
+            << cmp.mismatches << " of " << cmp.compared << " differ; first "
+            << cmp.first;
+        EXPECT_GT(cmp.compared, 20000u);
+      }
+    }
+  }
+}
+
+TEST(Localizer, KernelCutoffBoundaryIsExact) {
+  // A drop placed so that its term at one probe sits just below or just
+  // above the kernel's cutoff (1/8 of half an ulp of epsilon), and just
+  // below or above epsilon's actual rounding boundary. Only terms that
+  // cannot change epsilon + evidence may be skipped.
+  const auto arrays = room_arrays();
+  const LocalizerOptions opts;
+  const Localizer loc(arrays, room_bounds(), opts);
+  const double eps = opts.epsilon;
+  const double half_ulp =
+      (std::nextafter(eps, std::numeric_limits<double>::infinity()) - eps) /
+      2.0;
+  const double inv = 1.0 / (2.0 * opts.kernel_sigma * opts.kernel_sigma);
+  const rf::Vec2 probe{3.0, 4.0};
+  const double bearing = arrays[0].arrival_angle_planar(probe);
+  const double weight = 0.5;
+
+  for (const double level : {half_ulp / 8 * 0.999, half_ulp / 8 * 1.001,
+                             half_ulp * 0.999, half_ulp * 1.001,
+                             half_ulp * 2.5}) {
+    for (const double side : {1.0, -1.0}) {
+      const double delta = std::sqrt(std::log(weight / level) / inv);
+      std::vector<AngularEvidence> ev(4);
+      ev[0].drops.push_back(drop_at(bearing + side * delta, weight, 1));
+      // The normalizer: weight 1 on another array.
+      ev[1].drops.push_back(drop_at(1.0, 1.0, 2));
+      const double norm = Localizer::global_drop_norm(ev);
+      const double direct = direct_evidence(opts, ev[0], bearing, norm);
+      EXPECT_NEAR(direct / level, 1.0, 1e-3);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(loc.evidence_at(ev[0], bearing,
+                                                             norm)),
+                std::bit_cast<std::uint64_t>(direct));
+      const double got = loc.likelihood_at(probe, ev, norm);
+      const double want = direct_likelihood(arrays, opts, probe, ev);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "level " << level << " side " << side;
+      // The probe's array-0 factor is epsilon exactly below half an ulp
+      // and the next double above it beyond.
+      EXPECT_EQ(eps + direct != eps, level > half_ulp) << "level " << level;
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -135,7 +136,10 @@ std::vector<std::vector<ZoneFix>> run_fleet(std::size_t num_workers) {
     (void)service.run_pending();
   }
   std::vector<std::vector<ZoneFix>> out;
-  for (std::size_t z = 0; z < kZones; ++z) out.push_back(service.fixes(z));
+  for (std::size_t z = 0; z < kZones; ++z) {
+    const FixLog& log = service.fixes(z);
+    out.emplace_back(log.begin(), log.end());
+  }
   return out;
 }
 
@@ -279,6 +283,36 @@ TEST(ServeBackpressure, SixteenZoneOverloadShedsOldestBounded) {
 #endif
 
   obs::set_enabled(false);
+}
+
+TEST(ServeFixLog, RetainsTheLatestFixesAndCountsEveryOne) {
+  constexpr std::size_t kKept = FixLog::kRetained;
+  constexpr std::size_t kPushed = 2 * kKept + 300;
+  FixLog log;
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_THROW((void)log.back(), std::out_of_range);
+  EXPECT_THROW((void)log[0], std::out_of_range);
+  for (std::size_t i = 0; i < kPushed; ++i) {
+    log.push_back(ZoneFix{i, 10 * i, {}});
+  }
+  EXPECT_EQ(log.size(), kPushed);
+  EXPECT_EQ(log.back().seq, kPushed - 1);
+  EXPECT_EQ(log.first_retained(), kPushed - kKept);
+
+  // Evicted and not-yet-produced fixes throw; retained ones keep their
+  // global index.
+  EXPECT_THROW((void)log[0], std::out_of_range);
+  EXPECT_THROW((void)log[kPushed - kKept - 1], std::out_of_range);
+  EXPECT_THROW((void)log[kPushed], std::out_of_range);
+  EXPECT_EQ(log[kPushed - kKept].seq, kPushed - kKept);
+  EXPECT_EQ(log[kPushed - 1].watermark_us, 10 * (kPushed - 1));
+
+  std::vector<std::uint64_t> seqs;
+  for (const ZoneFix& fix : log) seqs.push_back(fix.seq);
+  ASSERT_EQ(seqs.size(), kKept);
+  for (std::size_t i = 0; i < kKept; ++i) {
+    EXPECT_EQ(seqs[i], kPushed - kKept + i) << "position " << i;
+  }
 }
 
 TEST(ServeScheduler, FifoWithinZoneAndOldestShedFirst) {
